@@ -63,6 +63,11 @@ class ComplexDocument:
         return "\n".join(lines) + "\n"
 
 
+def _is_int_list(value) -> bool:
+    # JSON true/false parse to bool, a subclass of int; they are not labels
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def parse_document(text: str) -> ComplexDocument:
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -87,16 +92,12 @@ def parse_document(text: str) -> ComplexDocument:
         raise ValueError("document is missing the facets line")
     ground = fields["ground"]
     facets = fields["facets"]
-    if not isinstance(ground, list) or not all(isinstance(v, int) for v in ground):
+    if not _is_int_list(ground):
         raise ValueError("ground must be a JSON list of integers")
-    if not isinstance(facets, list) or not all(
-        isinstance(f, list) and all(isinstance(v, int) for v in f) for f in facets
-    ):
+    if not isinstance(facets, list) or not all(_is_int_list(f) for f in facets):
         raise ValueError("facets must be a JSON list of integer lists")
     blocks = fields.get("blocks")
-    if blocks is not None and (
-        not isinstance(blocks, list) or not all(isinstance(b, int) for b in blocks)
-    ):
+    if blocks is not None and not _is_int_list(blocks):
         raise ValueError("blocks must be a JSON list of integers")
     return ComplexDocument(
         ground=tuple(ground),

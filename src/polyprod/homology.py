@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from .abelian import FgAbelianGroup, GradedGroup
 from .complexes import SimplicialComplex, _as_mask, submasks, vertices_of
@@ -125,39 +126,55 @@ def _dense_smith(m: list[list[int]]) -> list[int]:
     return out
 
 
-def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
+def _invariant_factors(columns) -> list[int]:
     """Invariant factors of a sparse integer matrix given as columns.
 
-    Strips +-1 pivots first (Markowitz-style fill minimization), then runs
-    the dense reduction on whatever small core remains.
+    Each column is a dict, or an iterable of (row, value) pairs.  A unit
+    pass strips +-1 pivots first, then the dense reduction runs on whatever
+    small core remains.
+
+    Pivot rule: the pivot column is the first remaining column, in column
+    order, that holds a +-1 entry; within it the unit of least Markowitz
+    cost ``(row_count - 1) * (col_len - 1)`` wins, the first one on ties.
+    The choice is local on purpose: searching every column for the
+    globally cheapest unit costs a pass over all nonzeros per pivot, so
+    the unit pass grew as pivots x nnz, while boundary matrices have a unit
+    in nearly every column (sparse elimination ordering as in Dumas,
+    Saunders and Villard, JSC 2001).  A heap of column indices finds that
+    column without rescanning: a column leaves the heap when it is found
+    unitless and rejoins it when an elimination changes it.
     """
-    col_entries: dict[int, dict[int, int]] = {
-        j: dict(c) for j, c in enumerate(columns) if c
-    }
+    col_entries: dict[int, dict[int, int]] = {}
     row_cols: dict[int, set[int]] = {}
-    for j, c in col_entries.items():
-        for i in c:
-            row_cols.setdefault(i, set()).add(j)
+    for j, c in enumerate(columns):
+        c = dict(c)
+        if c:
+            col_entries[j] = c
+            for i in c:
+                row_cols.setdefault(i, set()).add(j)
+    waiting = list(col_entries)  # ascending, hence already a heap
+    queued = set(waiting)
     units = 0
-    while True:
-        best = None
+    while waiting:
+        j = heappop(waiting)
+        queued.discard(j)
+        piv_col = col_entries.get(j)
+        if piv_col is None:
+            continue
+        lc = len(piv_col) - 1
+        i = None
         best_cost = None
-        for j, c in col_entries.items():
-            lc = len(c)
-            for i, v in c.items():
-                if v == 1 or v == -1:
-                    cost = (len(row_cols[i]) - 1) * (lc - 1)
-                    if best_cost is None or cost < best_cost:
-                        best = (i, j)
-                        best_cost = cost
-                        if cost == 0:
-                            break
-            if best_cost == 0:
-                break
-        if best is None:
-            break
-        i, j = best
-        piv_col = col_entries.pop(j)
+        for r, w in piv_col.items():
+            if w == 1 or w == -1:
+                cost = (len(row_cols[r]) - 1) * lc
+                if best_cost is None or cost < best_cost:
+                    i = r
+                    best_cost = cost
+                    if cost == 0:
+                        break
+        if i is None:
+            continue
+        del col_entries[j]
         v = piv_col.pop(i)
         row_cols[i].discard(j)
         for j2 in list(row_cols[i]):
@@ -175,6 +192,9 @@ def _invariant_factors(columns: list[dict[int, int]]) -> list[int]:
                     row_cols[i2].discard(j2)
             if not c2:
                 del col_entries[j2]
+            elif j2 not in queued:
+                queued.add(j2)
+                heappush(waiting, j2)
         for i2 in piv_col:
             row_cols[i2].discard(j)
         units += 1
@@ -213,11 +233,12 @@ def smith_normal_form(matrix) -> list[int]:
 # chain complexes
 
 class AugmentedChainComplex:
-    """Bases and boundary columns of the augmented chain complex.
+    """Bases and boundary columns of an augmented chain complex.
 
-    ``bases[d]`` is the sorted tuple of face masks of dimension d (the empty
-    face sits in degree -1).  ``boundaries[d]`` holds one column per basis
-    face: a list of (row index in ``bases[d-1]``, sign) entries.
+    ``bases[d]`` is the sorted tuple of generator masks of dimension d (the
+    empty face sits in degree -1).  ``boundaries[d]``, for every d >= 0 with
+    generators, holds one column per basis face: a list of (row index in
+    ``bases[d-1]``, sign) entries.
     """
 
     def __init__(self, bases, boundaries):
@@ -234,31 +255,73 @@ class AugmentedChainComplex:
         return out
 
 
-def _boundary_columns(faces_by_deg, degree, index_below):
-    cols = []
-    for f in faces_by_deg:
-        col = []
-        for pos, v in enumerate(vertices_of(f)):
-            col.append((index_below[f ^ (1 << (v - 1))], -1 if pos & 1 else 1))
-        cols.append(col)
-    return cols
+def _chain_complex(faces, quotient=frozenset()) -> AugmentedChainComplex:
+    """Chain complex of a face-mask family modulo the faces in ``quotient``.
+
+    The generators are the faces not in ``quotient``, and boundary terms
+    that land in ``quotient`` are dropped, so ``quotient`` must be closed
+    under taking subfaces.  Every other codimension-one face of a generator
+    must itself be a generator.
+    """
+    by_deg: dict[int, list[int]] = {}
+    for f in faces:
+        if f not in quotient:
+            by_deg.setdefault(f.bit_count() - 1, []).append(f)
+    bases = {d: tuple(sorted(by_deg[d])) for d in sorted(by_deg)}
+    index = {d: {f: i for i, f in enumerate(b)} for d, b in bases.items()}
+    boundaries = {}
+    for d, basis in bases.items():
+        if d < 0:
+            continue
+        below = index.get(d - 1, {})
+        cols = []
+        for f in basis:
+            col = []
+            for pos, v in enumerate(vertices_of(f)):
+                sub = f ^ (1 << (v - 1))
+                if sub not in quotient:
+                    col.append((below[sub], -1 if pos & 1 else 1))
+            cols.append(col)
+        boundaries[d] = cols
+    return AugmentedChainComplex(bases, boundaries)
 
 
 def chain_complex(K: SimplicialComplex) -> AugmentedChainComplex:
     """Augmented chain complex of a complex (empty for the void complex)."""
-    if K.is_void:
-        return AugmentedChainComplex({}, {})
-    by_deg: dict[int, list[int]] = {}
-    for f in K.faces:
-        by_deg.setdefault(f.bit_count() - 1, []).append(f)
-    bases = {d: tuple(sorted(fs)) for d, fs in by_deg.items()}
-    index = {d: {f: i for i, f in enumerate(b)} for d, b in bases.items()}
-    boundaries = {}
-    for d in sorted(bases):
-        if d < 0:
-            continue
-        boundaries[d] = _boundary_columns(bases[d], d, index[d - 1])
-    return AugmentedChainComplex(bases, boundaries)
+    return _chain_complex(K.faces)
+
+
+def _smith_data(cx: AugmentedChainComplex):
+    # per degree: basis size and invariant factors of the boundary map out
+    # of that degree
+    counts = {d: len(b) for d, b in cx.bases.items()}
+    factors = {d: tuple(_invariant_factors(cols))
+               for d, cols in cx.boundaries.items()}
+    return counts, factors
+
+
+def _field_rank(factors, p) -> int:
+    if p is None:
+        return len(factors)
+    return sum(1 for d in factors if d % p)
+
+
+def _graded_groups(counts, factors, coeff, cohomology) -> GradedGroup:
+    if not counts:
+        return GradedGroup()
+    out = {}
+    for n in range(-1, max(counts) + 1):
+        c = counts.get(n, 0)
+        fn = factors.get(n, ())
+        fn1 = factors.get(n + 1, ())
+        if coeff is None:
+            rank = c - len(fn) - len(fn1)
+            torsion = tuple(d for d in (fn if cohomology else fn1) if d != 1)
+            out[n] = FgAbelianGroup.from_divisors(rank, torsion)
+        else:
+            rank = c - _field_rank(fn, coeff.p) - _field_rank(fn1, coeff.p)
+            out[n] = FgAbelianGroup(rank)
+    return GradedGroup.from_dict(out)
 
 
 # ---------------------------------------------------------------------------
@@ -293,55 +356,13 @@ def _canonical_faces(faces) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _homology_data(key: tuple[int, ...]):
-    # per degree: basis size and invariant factors of the boundary map out
-    # of that degree; key is a canonical face-mask family
-    if not key:
-        return {}, {}
-    by_deg: dict[int, list[int]] = {}
-    for f in key:
-        by_deg.setdefault(f.bit_count() - 1, []).append(f)
-    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in by_deg.items()}
-    counts = {d: len(fs) for d, fs in by_deg.items()}
-    factors = {}
-    for d, fs in by_deg.items():
-        if d < 0:
-            continue
-        cols = [
-            dict(col)
-            for col in (
-                {index[d - 1][f ^ (1 << (v - 1))]: (-1 if pos & 1 else 1)
-                 for pos, v in enumerate(vertices_of(f))}
-                for f in fs
-            )
-        ]
-        factors[d] = tuple(_invariant_factors(cols))
-    return counts, factors
-
-
-def _field_rank(factors, p) -> int:
-    if p is None:
-        return len(factors)
-    return sum(1 for d in factors if d % p)
+    # key is a canonical face-mask family
+    return _smith_data(_chain_complex(key))
 
 
 @lru_cache(maxsize=None)
 def _groups_from_key(key, coeff, cohomology) -> GradedGroup:
-    counts, factors = _homology_data(key)
-    if not counts:
-        return GradedGroup()
-    out = {}
-    for n in range(-1, max(counts) + 1):
-        c = counts.get(n, 0)
-        fn = factors.get(n, ())
-        fn1 = factors.get(n + 1, ())
-        if coeff is None:
-            rank = c - len(fn) - len(fn1)
-            torsion = tuple(d for d in (fn if cohomology else fn1) if d != 1)
-            out[n] = FgAbelianGroup.from_divisors(rank, torsion)
-        else:
-            rank = c - _field_rank(fn, coeff.p) - _field_rank(fn1, coeff.p)
-            out[n] = FgAbelianGroup(rank)
-    return GradedGroup.from_dict(out)
+    return _graded_groups(*_homology_data(key), coeff, cohomology)
 
 
 def homology_of_faces(faces, coeff: FieldCoeff | None = None,
@@ -375,30 +396,6 @@ def euler_characteristic_reduced(K: SimplicialComplex) -> int:
 # ---------------------------------------------------------------------------
 # relative homology of (simplex, subcomplex) on a common vertex set
 
-def _complex_from_masks(gen_by_deg):
-    # gen_by_deg: degree -> sorted list of masks; boundary keeps only masks
-    # that are generators (quotient complex of the simplex pair)
-    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in gen_by_deg.items()}
-    counts = {d: len(fs) for d, fs in gen_by_deg.items()}
-    factors = {}
-    for d, fs in gen_by_deg.items():
-        if d - 1 not in index:
-            # the map lands in a zero group
-            factors[d] = ()
-            continue
-        below = index[d - 1]
-        cols = []
-        for f in fs:
-            col = {}
-            for pos, v in enumerate(vertices_of(f)):
-                sub = f ^ (1 << (v - 1))
-                if sub in below:
-                    col[below[sub]] = -1 if pos & 1 else 1
-            cols.append(col)
-        factors[d] = tuple(_invariant_factors(cols))
-    return counts, factors
-
-
 def relative_homology(omega, L: SimplicialComplex):
     """Homology of the pair (full simplex on omega, L), with a cross-check.
 
@@ -413,22 +410,8 @@ def relative_homology(omega, L: SimplicialComplex):
     if L.ground & ~w:
         bad = vertices_of(L.ground & ~w)[0]
         raise ValueError(f"subcomplex vertex {bad} is not in the vertex set")
-    gen_by_deg: dict[int, list[int]] = {}
-    for s in submasks(w):
-        if s not in L.faces:
-            gen_by_deg.setdefault(s.bit_count() - 1, []).append(s)
-    for fs in gen_by_deg.values():
-        fs.sort()
-    counts, factors = _complex_from_masks(gen_by_deg)
-    out = {}
-    for n in counts:
-        c = counts[n]
-        fn = factors.get(n, ())
-        fn1 = factors.get(n + 1, ())
-        rank = c - len(fn) - len(fn1)
-        torsion = tuple(d for d in fn1 if d != 1)
-        out[n] = FgAbelianGroup.from_divisors(rank, torsion)
-    groups = GradedGroup.from_dict(out)
+    cx = _chain_complex(submasks(w), L.faces)
+    groups = _graded_groups(*_smith_data(cx), None, False)
     agrees = groups == reduced_homology(L).shift(1)
     return groups, agrees
 

@@ -382,3 +382,17 @@ class TestCliErrors:
         code, _, err = run_cli(capsys, "homology", str(bad))
         assert code == 2
         assert "bad.doc: document is missing the facets line" in err
+
+    def test_boolean_labels_are_rejected(self, tmp_path, capsys):
+        # JSON true/false parse to Python bools, which are ints
+        cases = {
+            "ground: [true,2]\nfacets: [[true,2]]\n": "ground must be a JSON list of integers",
+            "ground: [1,2]\nfacets: [[1,false]]\n": "facets must be a JSON list of integer lists",
+            "ground: [1,2]\nblocks: [true,1]\nfacets: [[1,2]]\n": "blocks must be a JSON list of integers",
+        }
+        for text, message in cases.items():
+            bad = tmp_path / "bool.doc"
+            bad.write_text(text)
+            code, out, err = run_cli(capsys, "homology", str(bad))
+            assert code == 2 and out == ""
+            assert err == f"error: {bad}: {message}\n"

@@ -20,8 +20,10 @@ from polyprod import (
     SimplicialComplex,
     certify_homology_split,
     chain_complex,
+    composition_complex,
     cone_over_rp2,
     cycle_complex,
+    embed_on_blocks,
     euler_characteristic_reduced,
     homology_consistency_failures,
     induced_inclusion_map,
@@ -34,6 +36,7 @@ from polyprod import (
     rp2_complex,
     smith_normal_form,
 )
+from polyprod import homology
 from polyprod.homology import UnsupportedSplitCheck
 
 
@@ -160,6 +163,35 @@ class TestSmithNormalForm:
             got = smith_normal_form(m)
             want = snf_by_minor_gcds(m)
             assert got == want, f"SNF disagrees with minors on {m}"
+
+    def test_unit_created_by_elimination_is_pivoted_sparsely(self, monkeypatch):
+        # column 0 has no unit until column 1 is eliminated; the unit pass
+        # must come back for it instead of leaving it to the dense core
+        monkeypatch.setattr(homology, "_dense_smith",
+                            lambda m: pytest.fail(f"dense core {m}"))
+        assert smith_normal_form([[2, 1], [3, 1]]) == [1, 1]
+
+    def test_against_sympy_random_sparse(self):
+        # many +-1 entries, so the unit pass takes several pivots; shuffled
+        # columns vary the order in which it meets them
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        from sympy import ZZ, Matrix
+
+        rng = random.Random(4242)
+        values = (0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -4)
+        for _ in range(300):
+            rows = rng.randint(1, 12)
+            cols = rng.randint(1, 12)
+            m = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+            want = [abs(int(d)) for d in
+                    normalforms.invariant_factors(Matrix(m), domain=ZZ) if d]
+            order = list(range(cols))
+            rng.shuffle(order)
+            shuffled = [[row[j] for j in order] for row in m]
+            assert smith_normal_form(m) == want, f"SNF disagrees with sympy on {m}"
+            assert smith_normal_form(shuffled) == want, (
+                f"SNF disagrees with sympy on {shuffled}"
+            )
 
     def test_divisibility_chain_always_holds(self):
         rng = random.Random(99)
@@ -324,6 +356,27 @@ class TestRelativeHomology:
         L = SimplicialComplex.full_simplex([1, 5])
         with pytest.raises(ValueError, match="not in the vertex set"):
             relative_homology([1, 2], L)
+
+
+class TestScale:
+    """Complexes of 10^4 faces and more; each finishes in about a second."""
+
+    def test_boundary_of_simplex_on_14_vertices(self):
+        S = SimplicialComplex.boundary_simplex(range(1, 15))
+        assert len(S.faces) == 16383
+        assert reduced_homology(S) == Zg((12, Z1))
+
+    def test_five_cycle_composed_with_triangle_boundaries(self):
+        tri = SimplicialComplex.boundary_simplex(range(1, 4))
+        K = composition_complex(cycle_complex(5), embed_on_blocks([tri] * 5))
+        assert len(K.faces) == 30527
+        assert reduced_homology(K) == Zg((11, Z1))
+
+    def test_relative_pair_over_14_vertices_keeps_torsion(self):
+        # 16,352 generators: every subset of 14 vertices that is not a face
+        groups, agrees = relative_homology(range(1, 15), rp2_complex())
+        assert groups == Zg((2, Z2T))
+        assert agrees
 
 
 class TestInducedMaps:
