@@ -264,6 +264,32 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega,
     )
 
 
+def slice_duality_mismatches(table: BigradedTable,
+                             dual_cohomology: BigradedTable):
+    """Entrywise Alexander duality between two slice tables.
+
+    ``table`` is the homology table of K and ``dual_cohomology`` the
+    cohomology table of K's dual on the same ground.  For every pair of
+    ``table`` with nonempty omega, in table order, yields
+    ``(sigma, omega, mismatch)``: the entry at internal degree d must equal
+    the dual entry at the complementary pair in degree |omega| - d - 1, and
+    ``mismatch`` is ``(d, lhs, rhs)`` for the first degree where it does
+    not, or None when the pair agrees.
+    """
+    g = table.ground
+    for (sigma, omega), lhs in table.items():
+        if not omega:
+            continue
+        rhs = dual_cohomology.entry(g & ~(sigma | omega), omega)
+        wsize = omega.bit_count()
+        mismatch = None
+        for d in set(lhs.degrees()) | {wsize - e - 1 for e in rhs.degrees()}:
+            if lhs.at(d) != rhs.at(wsize - d - 1):
+                mismatch = (d, lhs.at(d), rhs.at(wsize - d - 1))
+                break
+        yield sigma, omega, mismatch
+
+
 def duality_group_sides(K: SimplicialComplex, sigma, omega, relative_to=None):
     """Group-level two sides of the slice duality, on one reduced grading.
 

@@ -22,8 +22,13 @@ from itertools import product
 
 from .abelian import FgAbelianGroup, GradedGroup
 from .complexes import SimplicialComplex, _as_mask, submasks, vertices_of
-from .hochster import hochster_table
+from .hochster import hochster_table, slice_duality_mismatches
 from .homology import FieldCoeff
+
+
+def _require_count(expected: int, got: int, what: str) -> None:
+    if got != expected:
+        raise ValueError(f"expected {expected} {what}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +59,7 @@ def finite_product(K: SimplicialComplex, pairs) -> frozenset:
     """
     pairs = list(pairs)
     kverts = vertices_of(K.ground)
-    if len(pairs) != len(kverts):
-        raise ValueError(
-            f"expected {len(kverts)} pairs for the ground of K, got {len(pairs)}"
-        )
+    _require_count(len(kverts), len(pairs), "pairs for the ground of K")
     out = set()
     kbits = [1 << (v - 1) for v in kverts]
     for tau in K.faces:
@@ -75,6 +77,12 @@ class Verdict:
     detail: str = ""
 
 
+def _set_verdict(what: str, lhs: frozenset, rhs: frozenset) -> Verdict:
+    if lhs == rhs:
+        return Verdict(True)
+    return Verdict(False, f"{what} mismatch at {sorted(map(repr, lhs ^ rhs))[:3]}")
+
+
 def complement_identity_check(K: SimplicialComplex, pairs) -> Verdict:
     """Complement of the product inside the full product of the X_k.
 
@@ -86,10 +94,7 @@ def complement_identity_check(K: SimplicialComplex, pairs) -> Verdict:
     lhs = full - finite_product(K, pairs)
     dual = K.dual(K.ground)
     rhs = finite_product(dual, [p.complement() for p in pairs])
-    if lhs == rhs:
-        return Verdict(True)
-    diff = sorted(map(repr, lhs ^ rhs))[:3]
-    return Verdict(False, f"complement mismatch at {diff}")
+    return _set_verdict("complement", lhs, rhs)
 
 
 def substitution_identity_check(K: SimplicialComplex, inner, leaf_pairs) -> Verdict:
@@ -106,10 +111,7 @@ def substitution_identity_check(K: SimplicialComplex, inner, leaf_pairs) -> Verd
     inner = list(inner)
     blocks = [x.ground for x, _ in inner]
     allverts = sorted(v for b in blocks for v in vertices_of(b))
-    if len(leaf_pairs) != len(allverts):
-        raise ValueError(
-            f"expected {len(allverts)} leaf pairs, got {len(leaf_pairs)}"
-        )
+    _require_count(len(allverts), len(leaf_pairs), "leaf pairs")
     leaf_of = dict(zip(allverts, leaf_pairs))
     outer_pairs = []
     for x, a in inner:
@@ -126,10 +128,7 @@ def substitution_identity_check(K: SimplicialComplex, inner, leaf_pairs) -> Verd
     )
     composed = polyhedral_complex(K, inner)
     rhs = finite_product(composed, [leaf_of[v] for v in allverts])
-    if lhs == rhs:
-        return Verdict(True)
-    diff = sorted(map(repr, lhs ^ rhs))[:3]
-    return Verdict(False, f"substitution mismatch at {diff}")
+    return _set_verdict("substitution", lhs, rhs)
 
 
 def factorization_identity_check(K: SimplicialComplex, pairs) -> Verdict:
@@ -142,10 +141,7 @@ def factorization_identity_check(K: SimplicialComplex, pairs) -> Verdict:
     """
     pairs = list(pairs)
     kverts = vertices_of(K.ground)
-    if len(pairs) != len(kverts):
-        raise ValueError(
-            f"expected {len(kverts)} pairs for the ground of K, got {len(pairs)}"
-        )
+    _require_count(len(kverts), len(pairs), "pairs for the ground of K")
     s_mask = 0
     for v, p in zip(kverts, pairs):
         if not p.sub:
@@ -165,10 +161,7 @@ def factorization_identity_check(K: SimplicialComplex, pairs) -> Verdict:
             for i, c in zip(cone_positions, cone_tup):
                 full[i] = c
             rhs.add(tuple(full))
-    if lhs == frozenset(rhs):
-        return Verdict(True)
-    diff = sorted(map(repr, lhs ^ frozenset(rhs)))[:3]
-    return Verdict(False, f"factorization mismatch at {diff}")
+    return _set_verdict("factorization", lhs, frozenset(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +239,14 @@ def sphere_pair_homology(K: SimplicialComplex, system: SpherePairSystem,
     they participate in duality checks but not in the totals.
     """
     kverts = vertices_of(K.ground)
-    if len(system.params) != len(kverts):
-        raise ValueError(
-            f"expected {len(kverts)} sphere pairs, got {len(system.params)}"
-        )
+    _require_count(len(kverts), len(system.params), "sphere pairs")
+    table = hochster_table(K, coeff, cohomology=cohomology)
+    return _ledger(K, kverts, system, table)
+
+
+def _ledger(K: SimplicialComplex, kverts, system: SpherePairSystem,
+            table) -> SpaceHomologyReport:
+    # the report of sphere_pair_homology, from a slice table already built
     z1 = FgAbelianGroup(1)
     ledger = []
     hat: dict[int, FgAbelianGroup] = {}
@@ -262,7 +259,6 @@ def sphere_pair_homology(K: SimplicialComplex, system: SpherePairSystem,
             t = system.shift_of(kverts, sigma, 0)
             ledger.append(LedgerEntry("hat_rel", sigma, None, t, 0, z1, t))
     bar: dict[int, FgAbelianGroup] = {}
-    table = hochster_table(K, coeff, cohomology=cohomology)
     for (sigma, omega), g in table.items():
         if not omega or g.is_zero:
             continue
@@ -296,40 +292,35 @@ def sphere_pair_duality_check(K: SimplicialComplex,
       sigma -> complement of sigma, with degrees pairing to r.
     """
     kverts = vertices_of(K.ground)
-    if len(system.params) != len(kverts):
-        raise ValueError(
-            f"expected {len(kverts)} sphere pairs, got {len(system.params)}"
-        )
+    _require_count(len(kverts), len(system.params), "sphere pairs")
     r = system.total_degree
     dual = K.dual(K.ground)
     co_system = system.complement()
-    report = sphere_pair_homology(K, system)
-    co_report = sphere_pair_homology(dual, co_system, cohomology=True)
-
     table = hochster_table(K)
     co_table = hochster_table(dual, cohomology=True)
-    for (sigma, omega), g in table.items():
-        if not omega:
+    report = _ledger(K, kverts, system, table)
+    co_report = _ledger(dual, kverts, co_system, co_table)
+
+    for sigma, omega, mismatch in slice_duality_mismatches(table, co_table):
+        if mismatch is not None:
+            d, lhs, rhs = mismatch
+            return Verdict(
+                False,
+                f"bar entry mismatch at sigma={list(vertices_of(sigma))} "
+                f"omega={list(vertices_of(omega))} degree {d}: {lhs} vs {rhs}",
+            )
+        if table.entry(sigma, omega).is_zero:
             continue
-        sigma_tilde = K.ground & ~(sigma | omega)
-        co_g = co_table.entry(sigma_tilde, omega)
-        wsize = omega.bit_count()
-        for d in set(g.degrees()) | {wsize - d2 - 1 for d2 in co_g.degrees()}:
-            if g.at(d) != co_g.at(wsize - d - 1):
-                return Verdict(
-                    False,
-                    f"bar entry mismatch at sigma={list(vertices_of(sigma))} "
-                    f"omega={list(vertices_of(omega))} degree {d}: "
-                    f"{g.at(d)} vs {co_g.at(wsize - d - 1)}",
-                )
-            t = system.shift_of(kverts, sigma, omega)
-            t_c = co_system.shift_of(kverts, sigma_tilde, omega)
-            if (d + t) + ((wsize - d - 1) + t_c) != r - 1:
-                return Verdict(
-                    False,
-                    f"shift bookkeeping broken at sigma={list(vertices_of(sigma))} "
-                    f"omega={list(vertices_of(omega))}",
-                )
+        # a class in degree d pairs with one in |omega| - d - 1, so the
+        # total degrees (d + t) + (|omega| - d - 1 + t_c) must make r - 1
+        t = system.shift_of(kverts, sigma, omega)
+        t_c = co_system.shift_of(kverts, K.ground & ~(sigma | omega), omega)
+        if t + t_c + omega.bit_count() != r:
+            return Verdict(
+                False,
+                f"shift bookkeeping broken at sigma={list(vertices_of(sigma))} "
+                f"omega={list(vertices_of(omega))}",
+            )
     for d in set(report.bar.degrees()) | {
         r - d - 1 for d in co_report.bar.degrees()
     }:

@@ -2,15 +2,21 @@
 
 Each suite checks one identity family on randomly generated instances (plus
 curated edge instances in the first trial slots) and reports one line per
-trial: ``TRIAL <seed> <suite> PASS|FAIL``.  Failing trials carry a shrunk
-counterexample rendered in the document format.  Trials are deterministic:
-trial i of a run with seed s uses the derived seed ``s * 1_000_003 + i``.
+trial: ``TRIAL <seed> <suite> PASS|FAIL``.  Failing trials carry a
+counterexample rendered in the document format, shrunk by the dual,
+slice-dual and alexander suites.  Trials are deterministic: trial i of a
+run with seed s uses the derived seed ``s * 1_000_003 + i``.
+
+A suite is one check ``check(rng, i, max_vertices)`` returning None or the
+failure text, plus one ``SUITES`` entry; :func:`_runner` turns the check
+into the trial loop.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .abelian import FgAbelianGroup, GradedGroup
 from .complexes import (
@@ -34,6 +40,7 @@ from .hochster import (
     composition_homology,
     hochster_composition_formula,
     hochster_table,
+    slice_duality_mismatches,
 )
 from .homology import GF, homology_consistency_failures, reduced_homology
 from .spaces import (
@@ -135,12 +142,36 @@ def _subseed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
+def _runner(name: str, check, census: bool = False):
+    """The registry function that runs ``check`` once per trial.
+
+    ``check(rng, i, max_vertices)`` returns None when trial i passes and the
+    failure text, counterexample included, when it fails.  With ``census``
+    trial 0 is an exhaustive check ahead of the requested random trials.
+    """
+    def run(trials: int, max_vertices: int, seed: int):
+        for i in range(trials + 1 if census else trials):
+            sub = _subseed(seed, i)
+            err = check(random.Random(sub), i, max_vertices)
+            yield Trial(sub, name, err is None, err or "")
+
+    return run
+
+
 def _serialize(**named) -> str:
     parts = []
     for label, K in named.items():
         parts.append(f"{label}:")
         parts.extend("  " + line for line in document_of(K).render().splitlines())
     return "\n".join(parts)
+
+
+def _factors(complexes) -> dict:
+    return {f"factor_{j + 1}": K for j, K in enumerate(complexes)}
+
+
+def _pair(sigma: int, omega: int) -> str:
+    return f"sigma={list(vertices_of(sigma))} omega={list(vertices_of(omega))}"
 
 
 def minimize_complex(K: SimplicialComplex, still_fails,
@@ -220,51 +251,41 @@ def _de_morgan_failure(K1: SimplicialComplex, K2: SimplicialComplex):
     return None
 
 
-def _census_trial(seed: int) -> Trial:
+def _census_failure():
     for n, expect in enumerate(_COMPLEX_COUNTS):
         g = mask_of(range(1, n + 1))
         family = list(enumerate_complexes(g))
         if len(family) != expect:
-            return Trial(
-                seed, "dual", False,
+            return (
                 f"census on {n} vertices found {len(family)} complexes, "
-                f"expected {expect}",
+                f"expected {expect}"
             )
         if n == 0:
             continue
         for K in family:
             err = _dual_failure(K)
             if err:
-                return Trial(seed, "dual", False, err + "\n" + _serialize(complex=K))
+                return err + "\n" + _serialize(complex=K)
         for K1 in family:
             for K2 in family:
                 err = _de_morgan_failure(K1, K2)
                 if err:
-                    return Trial(
-                        seed, "dual", False,
-                        err + "\n" + _serialize(first=K1, second=K2),
-                    )
-    return Trial(seed, "dual", True)
+                    return err + "\n" + _serialize(first=K1, second=K2)
+    return None
 
 
-def _suite_dual(trials: int, max_vertices: int, seed: int):
-    yield _census_trial(_subseed(seed, 0))
-    for i in range(1, trials + 1):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        n = rng.randint(1, max_vertices)
-        ground = range(1, n + 1)
-        K1 = random_complex(rng, ground)
-        K2 = random_complex(rng, ground)
-        err = _dual_failure(K1) or _dual_failure(K2) or _de_morgan_failure(K1, K2)
-        if err is None:
-            yield Trial(sub, "dual", True)
-        else:
-            small = minimize_complex(K1, lambda c: _dual_failure(c) is not None)
-            yield Trial(
-                sub, "dual", False,
-                err + "\n" + _serialize(first=small, second=K2),
-            )
+def _check_dual(rng, i: int, max_vertices: int):
+    if i == 0:
+        return _census_failure()
+    n = rng.randint(1, max_vertices)
+    ground = range(1, n + 1)
+    K1 = random_complex(rng, ground)
+    K2 = random_complex(rng, ground)
+    err = _dual_failure(K1) or _dual_failure(K2) or _de_morgan_failure(K1, K2)
+    if err is None:
+        return None
+    small = minimize_complex(K1, lambda c: _dual_failure(c) is not None)
+    return err + "\n" + _serialize(first=small, second=K2)
 
 
 # ---------------------------------------------------------------------------
@@ -274,35 +295,29 @@ def _slice_dual_failure(K: SimplicialComplex, sigma: int, omega: int):
     lhs = K.slice(sigma, omega).dual(omega)
     rhs = K.dual(K.ground).slice(K.ground & ~(sigma | omega), omega)
     if lhs != rhs:
-        return (
-            f"slice dual mismatch at sigma={list(vertices_of(sigma))} "
-            f"omega={list(vertices_of(omega))}"
-        )
+        return f"slice dual mismatch at {_pair(sigma, omega)}"
     return None
 
 
-def _suite_slice_dual(trials: int, max_vertices: int, seed: int):
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        n = rng.randint(1, max_vertices)
-        K = random_complex(rng, range(1, n + 1))
-        sigma, omega = _random_pair_split(rng, K.ground)
-        if omega == 0:
-            v = rng.randrange(n)
-            omega = 1 << v
-            sigma &= ~omega
-        err = _slice_dual_failure(K, sigma, omega)
-        if err is None:
-            yield Trial(sub, "slice-dual", True)
-        else:
-            def fails(c, s=sigma, w=omega):
-                if (s | w) & ~c.ground:
-                    return False
-                return _slice_dual_failure(c, s, w) is not None
+def _check_slice_dual(rng, i: int, max_vertices: int):
+    n = rng.randint(1, max_vertices)
+    K = random_complex(rng, range(1, n + 1))
+    sigma, omega = _random_pair_split(rng, K.ground)
+    if omega == 0:
+        v = rng.randrange(n)
+        omega = 1 << v
+        sigma &= ~omega
+    err = _slice_dual_failure(K, sigma, omega)
+    if err is None:
+        return None
 
-            small = minimize_complex(K, fails, drop_vertices=False)
-            yield Trial(sub, "slice-dual", False, err + "\n" + _serialize(complex=small))
+    def fails(c):
+        if (sigma | omega) & ~c.ground:
+            return False
+        return _slice_dual_failure(c, sigma, omega) is not None
+
+    small = minimize_complex(K, fails, drop_vertices=False)
+    return err + "\n" + _serialize(complex=small)
 
 
 # ---------------------------------------------------------------------------
@@ -321,90 +336,66 @@ def _random_product_instance(rng, max_total: int):
     return K, blocks, pairs
 
 
-def _suite_compose_slice(trials: int, max_vertices: int, seed: int):
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        K, blocks, pairs = _random_product_instance(rng, max_vertices)
-        S = polyhedral_complex(K, pairs)
-        sigma, omega = _random_pair_split(rng, S.ground)
-        lhs = S.slice(sigma, omega)
-        sliced_pairs = [
-            (x.slice(sigma & b, omega & b), a.slice(sigma & b, omega & b))
-            for (x, a), b in zip(pairs, blocks)
-        ]
-        rhs = polyhedral_complex(K, sliced_pairs)
-        if lhs != rhs:
-            yield Trial(
-                sub, "compose-slice", False,
-                f"blockwise slice mismatch at sigma={list(vertices_of(sigma))} "
-                f"omega={list(vertices_of(omega))}\n"
-                + _serialize(outer=K, **{
-                    f"factor_{j + 1}": x for j, (x, _) in enumerate(pairs)
-                }),
-            )
-            continue
-        # ghost factorization: positions with a void subcomplex split off
-        # as join factors over the link
-        core, cones = ghost_factorization(K, pairs)
-        if join([core] + cones) != S:
-            yield Trial(
-                sub, "compose-slice", False,
-                "ghost factorization does not reassemble the product\n"
-                + _serialize(outer=K),
-            )
-            continue
-        yield Trial(sub, "compose-slice", True)
+def _check_compose_slice(rng, i: int, max_vertices: int):
+    K, blocks, pairs = _random_product_instance(rng, max_vertices)
+    S = polyhedral_complex(K, pairs)
+    sigma, omega = _random_pair_split(rng, S.ground)
+    lhs = S.slice(sigma, omega)
+    sliced_pairs = [
+        (x.slice(sigma & b, omega & b), a.slice(sigma & b, omega & b))
+        for (x, a), b in zip(pairs, blocks)
+    ]
+    rhs = polyhedral_complex(K, sliced_pairs)
+    if lhs != rhs:
+        return (
+            f"blockwise slice mismatch at {_pair(sigma, omega)}\n"
+            + _serialize(outer=K, **_factors(x for x, _ in pairs))
+        )
+    # ghost factorization: positions with a void subcomplex split off
+    # as join factors over the link
+    core, cones = ghost_factorization(K, pairs)
+    if join([core] + cones) != S:
+        return (
+            "ghost factorization does not reassemble the product\n"
+            + _serialize(outer=K)
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
 # suite: compose-dual (duality swaps a composition for the dual composition)
 
-def _suite_compose_dual(trials: int, max_vertices: int, seed: int):
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        m = rng.randint(1, 3)
-        sizes = _random_block_sizes(rng, m, max_vertices)
-        blocks = consecutive_blocks(sizes)
-        K = random_complex(rng, range(1, m + 1))
-        factors = [random_complex(rng, vertices_of(b)) for b in blocks]
-        S = composition_complex(K, factors)
-        total = mask_of(range(1, sum(sizes) + 1))
-        lhs = S.dual(total)
-        rhs = composition_complex(
-            K.dual(K.ground), [L.dual(b) for L, b in zip(factors, blocks)]
+def _check_compose_dual(rng, i: int, max_vertices: int):
+    m = rng.randint(1, 3)
+    sizes = _random_block_sizes(rng, m, max_vertices)
+    blocks = consecutive_blocks(sizes)
+    K = random_complex(rng, range(1, m + 1))
+    factors = [random_complex(rng, vertices_of(b)) for b in blocks]
+    S = composition_complex(K, factors)
+    total = mask_of(range(1, sum(sizes) + 1))
+    lhs = S.dual(total)
+    rhs = composition_complex(
+        K.dual(K.ground), [L.dual(b) for L, b in zip(factors, blocks)]
+    )
+    if lhs != rhs:
+        return (
+            "dual of the composition is not the composition of duals\n"
+            + _serialize(outer=K, **_factors(factors))
         )
-        if lhs != rhs:
-            yield Trial(
-                sub, "compose-dual", False,
-                "dual of the composition is not the composition of duals\n"
-                + _serialize(outer=K, **{
-                    f"factor_{j + 1}": L for j, L in enumerate(factors)
-                }),
-            )
-            continue
-        # closure: compositions of self-dual complexes stay self-dual
-        sd_sizes = [rng.randint(1, 4) for _ in range(m)]
-        sd_blocks = consecutive_blocks(sd_sizes)
-        sd_outer = self_dual_complex(m)
-        sd_factors = [
-            self_dual_complex(s).relabel(
-                {v: v + off for v in range(1, s + 1)}
-            )
-            for s, off in zip(
-                sd_sizes, [sum(sd_sizes[:j]) for j in range(m)]
-            )
-        ]
-        sd = composition_complex(sd_outer, sd_factors)
-        if sd.dual(sd.ground) != sd:
-            yield Trial(
-                sub, "compose-dual", False,
-                "composition of self-dual complexes is not self-dual\n"
-                + _serialize(outer=sd_outer),
-            )
-            continue
-        yield Trial(sub, "compose-dual", True)
+    # closure: compositions of self-dual complexes stay self-dual
+    sd_sizes = [rng.randint(1, 4) for _ in range(m)]
+    sd_outer = self_dual_complex(m)
+    sd_factors = [
+        self_dual_complex(s).relabel({v: v + off for v in range(1, s + 1)})
+        for s, off in zip(sd_sizes, [sum(sd_sizes[:j]) for j in range(m)])
+    ]
+    sd = composition_complex(sd_outer, sd_factors)
+    if sd.dual(sd.ground) != sd:
+        return (
+            "composition of self-dual complexes is not self-dual\n"
+            + _serialize(outer=sd_outer)
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -412,57 +403,45 @@ def _suite_compose_dual(trials: int, max_vertices: int, seed: int):
 
 def _duality_table_failure(K: SimplicialComplex):
     """Compare every nonempty-omega entry of K's table with the dual table."""
-    g = K.ground
-    dual = K.dual(g)
+    dual = K.dual(K.ground)
     table = hochster_table(K)
     co_dual = hochster_table(dual, cohomology=True)
-    for (sigma, omega), lhs in table.items():
-        if not omega:
-            continue
-        rhs = co_dual.entry(g & ~(sigma | omega), omega)
-        wsize = omega.bit_count()
-        degs = set(lhs.degrees()) | {wsize - d - 1 for d in rhs.degrees()}
-        for d in degs:
-            if lhs.at(d) != rhs.at(wsize - d - 1):
-                return (
-                    f"slice homology at sigma={list(vertices_of(sigma))} "
-                    f"omega={list(vertices_of(omega))} degree {d} is "
-                    f"{lhs.at(d)}, dual cohomology gives {rhs.at(wsize - d - 1)}"
-                )
+    for sigma, omega, mismatch in slice_duality_mismatches(table, co_dual):
+        if mismatch is not None:
+            d, lhs, rhs = mismatch
+            return (
+                f"slice homology at {_pair(sigma, omega)} degree {d} is "
+                f"{lhs}, dual cohomology gives {rhs}"
+            )
         try:
             alexander_duality_witness(K, sigma, omega, precomputed_dual=dual)
         except DualityCheckError as e:
-            return (
-                f"witness failed at sigma={list(vertices_of(sigma))} "
-                f"omega={list(vertices_of(omega))}: {e}"
-            )
+            return f"witness failed at {_pair(sigma, omega)}: {e}"
     return None
 
 
-def _suite_alexander(trials: int, max_vertices: int, seed: int):
-    curated = [
-        c for c in (cone_over_rp2(), rp2_complex())
-        if c.n_vertices <= max_vertices
-    ]
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        if i < len(curated):
-            K = curated[i]
-        else:
-            n = rng.randint(1, max_vertices)
-            K = random_complex(rng, range(1, n + 1))
-        err = _duality_table_failure(K)
-        if err is None:
-            bad = homology_consistency_failures(K)
-            err = "; ".join(bad) if bad else None
-        if err is None:
-            yield Trial(sub, "alexander", True)
-        else:
-            small = minimize_complex(
-                K, lambda c: c.ground != 0 and _duality_table_failure(c) is not None
-            )
-            yield Trial(sub, "alexander", False, err + "\n" + _serialize(complex=small))
+@cache
+def _torsion_complexes():
+    return (cone_over_rp2(), rp2_complex())
+
+
+def _check_alexander(rng, i: int, max_vertices: int):
+    curated = [c for c in _torsion_complexes() if c.n_vertices <= max_vertices]
+    if i < len(curated):
+        K = curated[i]
+    else:
+        n = rng.randint(1, max_vertices)
+        K = random_complex(rng, range(1, n + 1))
+    err = _duality_table_failure(K)
+    if err is None:
+        bad = homology_consistency_failures(K)
+        err = "; ".join(bad) if bad else None
+    if err is None:
+        return None
+    small = minimize_complex(
+        K, lambda c: c.ground != 0 and _duality_table_failure(c) is not None
+    )
+    return err + "\n" + _serialize(complex=small)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +459,7 @@ def _free_random_complex(rng, ground) -> SimplicialComplex:
 
 
 def _sphere_like(rng, ground) -> SimplicialComplex:
-    verts = vertices_of(ground) if isinstance(ground, int) else tuple(sorted(ground))
+    verts = tuple(sorted(ground))
     if len(verts) >= 3 and rng.random() < 0.5:
         edges = [(verts[i], verts[(i + 1) % len(verts)])
                  for i in range(len(verts))]
@@ -500,111 +479,80 @@ def _sphere_degree(parts) -> int:
     return sum(d + 1 for d in parts) - 1
 
 
+@cache
 def _composition_curated():
     tri = SimplicialComplex.boundary_simplex(range(1, 4))
     seg = SimplicialComplex.boundary_simplex
-    cases = []
-    cases.append((tri, [seg(range(4, 6)), seg(range(6, 8)), seg(range(8, 10))]))
-    cases.append((
-        cycle_complex(4),
-        [
-            SimplicialComplex.empty_face_complex(mask_of([5])),
-            SimplicialComplex.empty_face_complex(mask_of([6])),
-            seg(range(7, 9)),
-            SimplicialComplex.empty_face_complex(mask_of([9])),
-        ],
-    ))
-    cases.append((seg(range(1, 3)), [cycle_complex(5, start=3),
-                                     SimplicialComplex.empty_face_complex(mask_of([8]))]))
-    return cases
+    point = SimplicialComplex.empty_face_complex
+    return (
+        (tri, (seg(range(4, 6)), seg(range(6, 8)), seg(range(8, 10)))),
+        (cycle_complex(4), (point(mask_of([5])), point(mask_of([6])),
+                            seg(range(7, 9)), point(mask_of([9])))),
+        (seg(range(1, 3)), (cycle_complex(5, start=3), point(mask_of([8])))),
+    )
 
 
-def _suite_composition_homology(trials: int, max_vertices: int, seed: int):
+def _check_composition_homology(rng, i: int, max_vertices: int):
     curated = _composition_curated()
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        if i < len(curated):
-            K, factors = curated[i]
-            try:
-                h = composition_homology(K, factors)
-            except DualityCheckError as e:
-                yield Trial(sub, "composition-homology", False, str(e))
-                continue
-            want = _sphere_degree(
-                [d for d, _ in reduced_homology(K).groups]
-                + [d for L in factors for d, _ in reduced_homology(L).groups]
-            )
-            if h.total_rank() != 1 or h.at(want) != FgAbelianGroup(1):
-                yield Trial(
-                    sub, "composition-homology", False,
-                    f"homology sphere closure failed: got {h}, expected Z "
-                    f"in degree {want}\n" + _serialize(outer=K),
-                )
-                continue
-            yield Trial(sub, "composition-homology", True)
-            continue
-        m = rng.randint(1, 3)
-        sizes = _random_block_sizes(rng, m, max_vertices)
-        blocks = consecutive_blocks(sizes)
-        if rng.random() < 0.6:
-            K = _sphere_like(rng, range(1, m + 1))
-        else:
-            K = random_complex(rng, range(1, m + 1))
-        factors = [_biased_free_complex(rng, vertices_of(b)) for b in blocks]
+    if i < len(curated):
+        K, factors = curated[i]
         try:
-            composition_homology(K, factors)
-            composition_homology(K, factors, GF(2))
+            h = composition_homology(K, factors)
         except DualityCheckError as e:
-            yield Trial(
-                sub, "composition-homology", False,
-                str(e) + "\n" + _serialize(outer=K, **{
-                    f"factor_{j + 1}": L for j, L in enumerate(factors)
-                }),
+            return str(e)
+        want = _sphere_degree(
+            [d for d, _ in reduced_homology(K).groups]
+            + [d for L in factors for d, _ in reduced_homology(L).groups]
+        )
+        if h.total_rank() != 1 or h.at(want) != FgAbelianGroup(1):
+            return (
+                f"homology sphere closure failed: got {h}, expected Z "
+                f"in degree {want}\n" + _serialize(outer=K)
             )
-            continue
-        comp = composition_complex(K, factors)
-        bad = homology_consistency_failures(comp)
-        if bad:
-            yield Trial(
-                sub, "composition-homology", False,
-                "; ".join(bad) + "\n" + _serialize(composition=comp),
-            )
-            continue
-        yield Trial(sub, "composition-homology", True)
+        return None
+    m = rng.randint(1, 3)
+    sizes = _random_block_sizes(rng, m, max_vertices)
+    blocks = consecutive_blocks(sizes)
+    if rng.random() < 0.6:
+        K = _sphere_like(rng, range(1, m + 1))
+    else:
+        K = random_complex(rng, range(1, m + 1))
+    factors = [_biased_free_complex(rng, vertices_of(b)) for b in blocks]
+    try:
+        composition_homology(K, factors)
+        composition_homology(K, factors, GF(2))
+    except DualityCheckError as e:
+        return str(e) + "\n" + _serialize(outer=K, **_factors(factors))
+    comp = composition_complex(K, factors)
+    bad = homology_consistency_failures(comp)
+    if bad:
+        return "; ".join(bad) + "\n" + _serialize(composition=comp)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # suite: hochster-composition (piecewise table formula)
 
-def _suite_hochster_composition(trials: int, max_vertices: int, seed: int):
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        m = rng.randint(1, 3)
-        sizes = _random_block_sizes(rng, m, max_vertices)
-        blocks = consecutive_blocks(sizes)
-        K = random_complex(rng, range(1, m + 1))
-        factors = []
-        for b in blocks:
-            L = random_complex(rng, vertices_of(b))
-            if L.is_void:
-                L = SimplicialComplex.empty_face_complex(b)
-            factors.append(L)
-        coeff = GF(2) if i % 5 == 4 else None
-        report = hochster_composition_formula(K, factors, coeff)
-        if report.ok:
-            yield Trial(sub, "hochster-composition", True)
-        else:
-            v = report.failures()[0]
-            yield Trial(
-                sub, "hochster-composition", False,
-                f"piece mismatch at sigma={list(vertices_of(v.sigma))} "
-                f"omega={list(vertices_of(v.omega))}: {v.lhs} vs {v.rhs}\n"
-                + _serialize(outer=K, **{
-                    f"factor_{j + 1}": L for j, L in enumerate(factors)
-                }),
-            )
+def _check_hochster_composition(rng, i: int, max_vertices: int):
+    m = rng.randint(1, 3)
+    sizes = _random_block_sizes(rng, m, max_vertices)
+    blocks = consecutive_blocks(sizes)
+    K = random_complex(rng, range(1, m + 1))
+    factors = []
+    for b in blocks:
+        L = random_complex(rng, vertices_of(b))
+        if L.is_void:
+            L = SimplicialComplex.empty_face_complex(b)
+        factors.append(L)
+    coeff = GF(2) if i % 5 == 4 else None
+    report = hochster_composition_formula(K, factors, coeff)
+    if report.ok:
+        return None
+    v = report.failures()[0]
+    return (
+        f"piece mismatch at {_pair(v.sigma, v.omega)}: {v.lhs} vs {v.rhs}\n"
+        + _serialize(outer=K, **_factors(factors))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -613,82 +561,66 @@ def _suite_hochster_composition(trials: int, max_vertices: int, seed: int):
 _LETTERS = ("a", "b", "c")
 
 
-def _random_finite_pairs(rng, m: int, allow_empty_sub: bool = True):
+def _random_finite_pairs(rng, m: int):
     pairs = []
     for _ in range(m):
         nx = rng.randint(1, 3)
         points = frozenset(_LETTERS[:nx])
-        lo = 0 if allow_empty_sub else 1
-        na = rng.randint(lo, nx)
+        na = rng.randint(0, nx)
         sub = frozenset(rng.sample(sorted(points), na))
         pairs.append(FiniteSpacePair(points, sub))
     return pairs
 
 
-def _suite_complement(trials: int, max_vertices: int, seed: int):
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        m = rng.randint(1, max_vertices)
-        ground = range(1, m + 1)
-        if i % 10 == 0:
-            K = SimplicialComplex.full_simplex(ground)
-        elif i % 10 == 5:
-            K = SimplicialComplex.void(ground)
-        else:
-            K = random_complex(rng, ground)
-        pairs = _random_finite_pairs(rng, m)
-        v = complement_identity_check(K, pairs)
-        if v.ok:
-            # idempotence: complementing the complement recovers the start
-            v = complement_identity_check(
-                K.dual(K.ground), [p.complement() for p in pairs]
-            )
-        if v.ok:
-            yield Trial(sub, "complement", True)
-        else:
-            yield Trial(sub, "complement", False,
-                        v.detail + "\n" + _serialize(complex=K))
+def _check_complement(rng, i: int, max_vertices: int):
+    m = rng.randint(1, max_vertices)
+    ground = range(1, m + 1)
+    if i % 10 == 0:
+        K = SimplicialComplex.full_simplex(ground)
+    elif i % 10 == 5:
+        K = SimplicialComplex.void(ground)
+    else:
+        K = random_complex(rng, ground)
+    pairs = _random_finite_pairs(rng, m)
+    v = complement_identity_check(K, pairs)
+    if v.ok:
+        # idempotence: complementing the complement recovers the start
+        v = complement_identity_check(
+            K.dual(K.ground), [p.complement() for p in pairs]
+        )
+    return None if v.ok else v.detail + "\n" + _serialize(complex=K)
 
 
 # ---------------------------------------------------------------------------
 # suite: substitution (two-level products collapse through the composition)
 
-def _suite_substitution(trials: int, max_vertices: int, seed: int):
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        m = rng.randint(1, max_vertices)
-        K = random_complex(rng, range(1, m + 1))
-        sizes = [rng.randint(1, 2) for _ in range(m)]
-        blocks = consecutive_blocks(sizes)
-        inner = []
-        for b in blocks:
-            X = random_complex(rng, vertices_of(b))
-            A = random_subcomplex(rng, X)
-            inner.append((X, A))
-        leaf_pairs = []
-        for _ in range(sum(sizes)):
-            nu = rng.randint(0, 2)
-            points = frozenset(_LETTERS[:nu])
-            csub = frozenset(rng.sample(sorted(points), rng.randint(0, nu)))
-            leaf_pairs.append(FiniteSpacePair(points, csub))
-        v = substitution_identity_check(K, inner, leaf_pairs)
-        if v.ok:
-            # factorization of positions with empty subspace through the link
-            v = factorization_identity_check(
-                K, _random_finite_pairs(rng, m, allow_empty_sub=True)
-            )
-        if v.ok:
-            yield Trial(sub, "substitution", True)
-        else:
-            yield Trial(sub, "substitution", False,
-                        v.detail + "\n" + _serialize(outer=K))
+def _check_substitution(rng, i: int, max_vertices: int):
+    m = rng.randint(1, max_vertices)
+    K = random_complex(rng, range(1, m + 1))
+    sizes = [rng.randint(1, 2) for _ in range(m)]
+    blocks = consecutive_blocks(sizes)
+    inner = []
+    for b in blocks:
+        X = random_complex(rng, vertices_of(b))
+        A = random_subcomplex(rng, X)
+        inner.append((X, A))
+    leaf_pairs = []
+    for _ in range(sum(sizes)):
+        nu = rng.randint(0, 2)
+        points = frozenset(_LETTERS[:nu])
+        csub = frozenset(rng.sample(sorted(points), rng.randint(0, nu)))
+        leaf_pairs.append(FiniteSpacePair(points, csub))
+    v = substitution_identity_check(K, inner, leaf_pairs)
+    if v.ok:
+        # factorization of positions with empty subspace through the link
+        v = factorization_identity_check(K, _random_finite_pairs(rng, m))
+    return None if v.ok else v.detail + "\n" + _serialize(outer=K)
 
 
 # ---------------------------------------------------------------------------
 # suite: sphere-duality (ledger pairing between a space and its complement)
 
+@cache
 def _sphere_oracles():
     point_pair = (
         SimplicialComplex.empty_face_complex(mask_of([1])),
@@ -704,39 +636,26 @@ def _sphere_oracles():
             2: FgAbelianGroup(4),
         }),
     )
-    return [point_pair, four_spheres]
+    return (point_pair, four_spheres)
 
 
-def _suite_sphere_duality(trials: int, max_vertices: int, seed: int):
+def _check_sphere_duality(rng, i: int, max_vertices: int):
     oracles = _sphere_oracles()
-    for i in range(trials):
-        sub = _subseed(seed, i)
-        rng = random.Random(sub)
-        if i < len(oracles):
-            K, system, want = oracles[i]
-            report = sphere_pair_homology(K, system)
-            if report.total != want:
-                yield Trial(
-                    sub, "sphere-duality", False,
-                    f"oracle total {report.total} differs from {want}",
-                )
-                continue
-            v = sphere_pair_duality_check(K, system)
-            yield Trial(sub, "sphere-duality", v.ok, v.detail)
-            continue
-        n = rng.randint(1, max_vertices)
-        K = random_complex(rng, range(1, n + 1))
-        params = []
-        for _ in range(n):
-            r = rng.randint(0, 3)
-            params.append((r, rng.randint(0, r)))
-        system = SpherePairSystem.of(*params)
+    if i < len(oracles):
+        K, system, want = oracles[i]
+        report = sphere_pair_homology(K, system)
+        if report.total != want:
+            return f"oracle total {report.total} differs from {want}"
         v = sphere_pair_duality_check(K, system)
-        if v.ok:
-            yield Trial(sub, "sphere-duality", True)
-        else:
-            yield Trial(sub, "sphere-duality", False,
-                        v.detail + "\n" + _serialize(complex=K))
+        return None if v.ok else v.detail
+    n = rng.randint(1, max_vertices)
+    K = random_complex(rng, range(1, n + 1))
+    params = []
+    for _ in range(n):
+        r = rng.randint(0, 3)
+        params.append((r, rng.randint(0, r)))
+    v = sphere_pair_duality_check(K, SpherePairSystem.of(*params))
+    return None if v.ok else v.detail + "\n" + _serialize(complex=K)
 
 
 # ---------------------------------------------------------------------------
@@ -751,26 +670,36 @@ class SuiteSpec:
 
 
 SUITES = {
-    "dual": SuiteSpec(_suite_dual, 10_000, 8,
-                      "dual involution, De Morgan laws, small-ground census"),
-    "slice-dual": SuiteSpec(_suite_slice_dual, 1000, 10,
-                            "dual of a slice vs complementary slice of the dual"),
-    "compose-slice": SuiteSpec(_suite_compose_slice, 1000, 10,
-                               "blockwise slices and ghost factorization of products"),
-    "compose-dual": SuiteSpec(_suite_compose_dual, 1000, 10,
-                              "dual of a composition and self-dual closure"),
-    "alexander": SuiteSpec(_suite_alexander, 500, 7,
-                           "slice homology vs dual slice cohomology with witness"),
-    "composition-homology": SuiteSpec(_suite_composition_homology, 210, 9,
-                                      "tensor formula for composition homology"),
-    "hochster-composition": SuiteSpec(_suite_hochster_composition, 50, 8,
-                                      "piecewise table formula for compositions"),
-    "complement": SuiteSpec(_suite_complement, 1000, 4,
-                            "finite-model complement identity"),
-    "substitution": SuiteSpec(_suite_substitution, 500, 3,
-                              "two-level finite products and ghost splitting"),
-    "sphere-duality": SuiteSpec(_suite_sphere_duality, 200, 6,
-                                "sphere-pair ledger duality pairing"),
+    "dual": SuiteSpec(
+        _runner("dual", _check_dual, census=True), 10_000, 8,
+        "dual involution, De Morgan laws, small-ground census"),
+    "slice-dual": SuiteSpec(
+        _runner("slice-dual", _check_slice_dual), 1000, 10,
+        "dual of a slice vs complementary slice of the dual"),
+    "compose-slice": SuiteSpec(
+        _runner("compose-slice", _check_compose_slice), 1000, 10,
+        "blockwise slices and ghost factorization of products"),
+    "compose-dual": SuiteSpec(
+        _runner("compose-dual", _check_compose_dual), 1000, 10,
+        "dual of a composition and self-dual closure"),
+    "alexander": SuiteSpec(
+        _runner("alexander", _check_alexander), 500, 7,
+        "slice homology vs dual slice cohomology with witness"),
+    "composition-homology": SuiteSpec(
+        _runner("composition-homology", _check_composition_homology), 210, 9,
+        "tensor formula for composition homology"),
+    "hochster-composition": SuiteSpec(
+        _runner("hochster-composition", _check_hochster_composition), 50, 8,
+        "piecewise table formula for compositions"),
+    "complement": SuiteSpec(
+        _runner("complement", _check_complement), 1000, 4,
+        "finite-model complement identity"),
+    "substitution": SuiteSpec(
+        _runner("substitution", _check_substitution), 500, 3,
+        "two-level finite products and ghost splitting"),
+    "sphere-duality": SuiteSpec(
+        _runner("sphere-duality", _check_sphere_duality), 200, 6,
+        "sphere-pair ledger duality pairing"),
 }
 
 

@@ -20,6 +20,7 @@ from polyprod.hochster import (
     hochster_composition_formula,
     hochster_table,
     index_pairs,
+    slice_duality_mismatches,
 )
 from polyprod.homology import GF
 from polyprod.verify import cone_over_rp2, rp2_complex
@@ -192,6 +193,31 @@ class TestDualityWitness:
                 omega = 1 << rng.randrange(n)
                 sigma &= ~omega
             alexander_duality_witness(K, sigma, omega)
+
+
+class TestSliceDualityMismatches:
+    def test_own_cohomology_in_place_of_the_dual_is_caught(self):
+        # the dual of the triangle boundary is {empty face}; against its own
+        # cohomology the first nonempty-omega pair ({}, {1}) already fails:
+        # the slice is a point (zero), the stand-in entry at ({2, 3}, {1})
+        # is the empty-face complex (Z in internal degree 0)
+        K = tri()
+        got = list(slice_duality_mismatches(
+            hochster_table(K), hochster_table(K, cohomology=True)
+        ))
+        sigma, omega, mismatch = got[0]
+        assert (sigma, omega) == (0, mask_of([1]))
+        assert mismatch == (0, FgAbelianGroup(0), Z_GROUP)
+        assert sum(m is not None for *_, m in got) > 1
+
+    def test_true_dual_reports_nothing_on_every_pair(self):
+        for K in (tri(), rp2_complex(), cone_over_rp2()):
+            table = hochster_table(K)
+            co_dual = hochster_table(K.dual(K.ground), cohomology=True)
+            got = list(slice_duality_mismatches(table, co_dual))
+            n = K.n_vertices
+            assert len(got) == 3 ** n - 2 ** n
+            assert all(m is None for *_, m in got)
 
 
 class TestDualityGroupSides:
