@@ -165,9 +165,8 @@ class GradedGroup:
     def total_rank(self) -> int:
         return sum(g.rank for _, g in self.groups)
 
-    def render_lines(self, prefix: str = "d",
-                     explicit_rank: bool = False) -> list[str]:
-        return [f"{prefix}{d}: {g.render(explicit_rank)}" for d, g in self.groups]
+    def render_lines(self, explicit_rank: bool = False) -> list[str]:
+        return [f"d{d}: {g.render(explicit_rank)}" for d, g in self.groups]
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -30,14 +30,12 @@ def mask_of(vertices) -> int:
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """Sorted tuple of labels in a bitmask."""
+    """Sorted tuple of labels in a bitmask (one step per set bit)."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -433,10 +431,10 @@ def random_subcomplex(rng, X: SimplicialComplex) -> SimplicialComplex:
     return X.intersection(random_complex(rng, X.ground))
 
 
-def consecutive_blocks(sizes, start: int = 1) -> list[int]:
-    """Ground masks for consecutive blocks of the given sizes."""
+def consecutive_blocks(sizes) -> list[int]:
+    """Ground masks for consecutive blocks of the given sizes, from vertex 1."""
     out = []
-    v = start
+    v = 1
     for n in sizes:
         if n < 0:
             raise ValueError("block sizes must be nonnegative")
@@ -445,10 +443,10 @@ def consecutive_blocks(sizes, start: int = 1) -> list[int]:
     return out
 
 
-def embed_on_blocks(locals_: list[SimplicialComplex], start: int = 1):
+def embed_on_blocks(locals_: list[SimplicialComplex]):
     """Relabel complexes on local grounds [1..n_k] onto consecutive blocks."""
     out = []
-    offset = start - 1
+    offset = 0
     for L in locals_:
         n = L.n_vertices
         if L.ground != mask_of(range(1, n + 1)):

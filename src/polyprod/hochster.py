@@ -25,26 +25,18 @@ from .complexes import (
 from .homology import FieldCoeff, homology_of_faces, reduced_homology
 
 
-def index_pairs(ground, omega_only: bool = False):
+def index_pairs(ground) -> list[tuple[int, int]]:
     """All disjoint (sigma, omega) pairs in base-3 counter order.
 
     The smallest ground vertex is the least significant digit; digit 1 puts
-    a vertex in sigma, digit 2 in omega.  With ``omega_only`` pairs with
-    empty omega are skipped.
+    a vertex in sigma, digit 2 in omega.
     """
-    bits = [1 << (v - 1) for v in vertices_of(_as_mask(ground))]
-    for code in range(3 ** len(bits)):
-        sigma = omega = 0
-        c = code
-        for b in bits:
-            c, digit = divmod(c, 3)
-            if digit == 1:
-                sigma |= b
-            elif digit == 2:
-                omega |= b
-        if omega_only and not omega:
-            continue
-        yield sigma, omega
+    pairs = [(0, 0)]
+    for v in reversed(vertices_of(_as_mask(ground))):
+        b = 1 << (v - 1)
+        pairs = [(s | x, w | y) for s, w in pairs
+                 for x, y in ((0, 0), (b, 0), (0, b))]
+    return pairs
 
 
 class BigradedTable:
@@ -74,29 +66,18 @@ class BigradedTable:
         return tuple((k, g) for k, g in self.entries if not g.is_zero)
 
 
-def _slice_faces(link_faces, omega):
-    return [g for g in link_faces if g & ~omega == 0]
-
-
-def _link_index(K: SimplicialComplex):
-    links: dict[int, list[int]] = {}
-    for f in K.faces:
-        for s in submasks(f):
-            links.setdefault(s, []).append(f ^ s)
-    return links
-
-
 def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
                    pairs=None, cohomology: bool = False) -> BigradedTable:
     """Slice (co)homology table of K over all requested disjoint pairs.
 
-    Internal grading: the entry group at degree d is reduced (co)homology
-    of the slice in degree d - 1.  Slices at non-faces are void, giving
-    zero entries; the entry at (sigma, empty) is Z at degree 0 exactly when
-    sigma is a face.
+    The slice at (sigma, omega) is {tau subset of omega : sigma union tau
+    is a face}.  Internal grading: the entry group at degree d is reduced
+    (co)homology of the slice in degree d - 1.  Slices at non-faces are
+    void, giving zero entries; the entry at (sigma, empty) is Z at degree
+    0 exactly when sigma is a face.
     """
     if pairs is None:
-        pair_list = list(index_pairs(K.ground))
+        pair_list = index_pairs(K.ground)
     else:
         pair_list = [(_as_mask(s), _as_mask(w)) for s, w in pairs]
         for s, w in pair_list:
@@ -105,17 +86,15 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
             if (s | w) & ~K.ground:
                 bad = vertices_of((s | w) & ~K.ground)[0]
                 raise ValueError(f"pair vertex {bad} is not in the ground set")
-    links = _link_index(K)
+    faces = K.faces
     empty = GradedGroup()
     rows = []
     for sigma, omega in pair_list:
-        link_faces = links.get(sigma)
-        if link_faces is None:
+        if sigma not in faces:
             rows.append(((sigma, omega), empty))
             continue
-        g = homology_of_faces(
-            _slice_faces(link_faces, omega), coeff, cohomology
-        ).shift(1)
+        slice_faces = [e for e in submasks(omega) if sigma | e in faces]
+        g = homology_of_faces(slice_faces, coeff, cohomology).shift(1)
         rows.append(((sigma, omega), g))
     return BigradedTable(K.ground, tuple(rows), cohomology)
 
@@ -170,31 +149,31 @@ class DualityWitness:
         return {}
 
 
-def alexander_duality_witness(K: SimplicialComplex, sigma, omega,
-                              relative_to=None, *,
+def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
                               precomputed_dual: SimplicialComplex | None = None,
                               ) -> DualityWitness:
     """Construct and verify the chain-level duality witness at one pair.
 
     Checks, generator by generator: the complement map is a bijection from
     non-faces of the slice onto faces of the dual slice (computed the long
-    way round, through the Alexander dual of K); each matrix is a signed
-    permutation; and the relative boundary is intertwined with the dual
-    cochain differential up to one sign per degree.  Raises
+    way round, through the Alexander dual of K relative to its ground; a
+    wider ambient set is a ground with ghost vertices); each matrix is a
+    signed permutation; and the relative boundary is intertwined with the
+    dual cochain differential up to one sign per degree.  Raises
     :class:`DualityCheckError` if any part fails; requires nonempty omega.
 
     ``precomputed_dual`` skips recomputing the dual of K when a caller
-    sweeps many pairs of one complex; it must equal ``K.dual(ambient)``.
+    sweeps many pairs of one complex; it must equal ``K.dual(K.ground)``.
     """
     s = _as_mask(sigma)
     w = _as_mask(omega)
     if w == 0:
         raise ValueError("the duality witness requires a nonempty omega")
-    amb = K.ground if relative_to is None else _as_mask(relative_to)
+    amb = K.ground
     if s & w:
         raise ValueError("witness index sets must be disjoint")
-    if (s | w | K.support()) & ~amb:
-        bad = vertices_of((s | w | K.support()) & ~amb)[0]
+    if (s | w) & ~amb:
+        bad = vertices_of((s | w) & ~amb)[0]
         raise ValueError(f"vertex {bad} is outside the ambient set")
     slice_faces = K.slice(s, w).faces
     sigma_tilde = amb & ~(s | w)
@@ -218,8 +197,6 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega,
         d = eta.bit_count() - 1
         taking.setdefault(d, {})[eta] = (comp, _shuffle_sign(eta, comp))
 
-    nonface_set = set(nonfaces)
-    dual_set = set(dual_slice)
     profile: dict[int, int] = {}
     for eta in nonfaces:
         d = eta.bit_count() - 1
@@ -232,7 +209,7 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega,
             vb = x & -x
             x ^= vb
             face = eta ^ vb
-            if face in nonface_set:
+            if face not in slice_faces:
                 tgt, sgn = taking[d - 1][face]
                 lhs[tgt] = _position_sign(eta, vb) * sgn
         rhs: dict[int, int] = {}
@@ -241,7 +218,7 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega,
             vb = y & -y
             y ^= vb
             up = comp | vb
-            if up in dual_set:
+            if up in dual_slice:
                 rhs[up] = sign_eta * _position_sign(up, vb)
         if set(lhs) != set(rhs):
             raise DualityCheckError(
@@ -290,21 +267,21 @@ def slice_duality_mismatches(table: BigradedTable,
         yield sigma, omega, mismatch
 
 
-def duality_group_sides(K: SimplicialComplex, sigma, omega, relative_to=None):
+def duality_group_sides(K: SimplicialComplex, sigma, omega):
     """Group-level two sides of the slice duality, on one reduced grading.
 
     Returns ``(lhs, rhs)`` where lhs is reduced homology of the slice at
-    (sigma, omega) and rhs is reduced cohomology of the dual slice at the
-    complementary pair, reindexed by j -> |omega| - j - 3 onto the lhs
-    grading; the duality theorem says they are equal.
+    (sigma, omega) and rhs is reduced cohomology of the dual slice (the
+    dual relative to K's ground) at the complementary pair, reindexed by
+    j -> |omega| - j - 3 onto the lhs grading; the duality theorem says
+    they are equal.
     """
     s = _as_mask(sigma)
     w = _as_mask(omega)
-    amb = K.ground if relative_to is None else _as_mask(relative_to)
     lhs = homology_of_faces(K.slice(s, w).faces)
-    sigma_tilde = amb & ~(s | w)
+    sigma_tilde = K.ground & ~(s | w)
     dual = homology_of_faces(
-        K.dual(amb).slice(sigma_tilde, w).faces, None, cohomology=True
+        K.dual(K.ground).slice(sigma_tilde, w).faces, None, cohomology=True
     )
     wsize = w.bit_count()
     rhs = GradedGroup.from_dict({wsize - j - 3: g for j, g in dual.groups})

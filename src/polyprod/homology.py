@@ -333,15 +333,8 @@ def _canonical_faces(faces) -> tuple[int, ...]:
         support |= f
     if support == 0:
         return tuple(sorted(faces))
-    bits = []
-    s = support
-    pos = 0
-    while s:
-        if s & 1:
-            bits.append(pos)
-        s >>= 1
-        pos += 1
-    table = {1 << b: 1 << i for i, b in enumerate(bits)}
+    table = {1 << (v - 1): 1 << i
+             for i, v in enumerate(vertices_of(support))}
     out = []
     for f in faces:
         g = 0
@@ -654,14 +647,13 @@ def certify_homology_split(A: SimplicialComplex, X: SimplicialComplex,
 # ---------------------------------------------------------------------------
 # consistency sweep used by the sanity suite
 
-def homology_consistency_failures(K: SimplicialComplex,
-                                  primes=(2, 3)) -> list[str]:
+def homology_consistency_failures(K: SimplicialComplex) -> list[str]:
     """Cross-checks between Euler count, integer and field homology.
 
     Returns a list of human-readable discrepancies (empty when everything
     agrees): the alternating face count must match the alternating sum of
-    integer ranks, rational dimensions must equal integer ranks, prime field
-    dimensions must obey the universal-coefficient count, and cohomology
+    integer ranks, rational dimensions must equal integer ranks, mod-2 and
+    mod-3 dimensions must obey the universal-coefficient count, and cohomology
     must carry the same ranks with torsion shifted up one degree.
     """
     problems = []
@@ -674,7 +666,7 @@ def homology_consistency_failures(K: SimplicialComplex,
     for d in set(hz.degrees()) | set(hq.degrees()):
         if hq.at(d).rank != hz.at(d).rank:
             problems.append(f"rational dim at {d} differs from integer rank")
-    for p in primes:
+    for p in (2, 3):
         hp = reduced_homology(K, GF(p))
         degrees = set(hp.degrees()) | set(hz.degrees())
         for d in sorted(degrees):

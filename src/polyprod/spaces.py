@@ -23,7 +23,6 @@ from itertools import product
 from .abelian import FgAbelianGroup, GradedGroup
 from .complexes import SimplicialComplex, _as_mask, submasks, vertices_of
 from .hochster import hochster_table, slice_duality_mismatches
-from .homology import FieldCoeff
 
 
 def _require_count(expected: int, got: int, what: str) -> None:
@@ -226,9 +225,8 @@ class SpaceHomologyReport:
         return [e for e in self.ledger if e.kind == kind]
 
 
-def sphere_pair_homology(K: SimplicialComplex, system: SpherePairSystem,
-                         coeff: FieldCoeff | None = None,
-                         cohomology: bool = False) -> SpaceHomologyReport:
+def sphere_pair_homology(K: SimplicialComplex,
+                         system: SpherePairSystem) -> SpaceHomologyReport:
     """Homology ledger of the sphere-pair product space over K.
 
     Hat classes: one Z per face sigma of K at degree t(sigma) (the sum of
@@ -240,8 +238,7 @@ def sphere_pair_homology(K: SimplicialComplex, system: SpherePairSystem,
     """
     kverts = vertices_of(K.ground)
     _require_count(len(kverts), len(system.params), "sphere pairs")
-    table = hochster_table(K, coeff, cohomology=cohomology)
-    return _ledger(K, kverts, system, table)
+    return _ledger(K, kverts, system, hochster_table(K))
 
 
 def _ledger(K: SimplicialComplex, kverts, system: SpherePairSystem,

@@ -146,13 +146,17 @@ def _runner(name: str, check, census: bool = False):
     """The registry function that runs ``check`` once per trial.
 
     ``check(rng, i, max_vertices)`` returns None when trial i passes and the
-    failure text, counterexample included, when it fails.  With ``census``
+    failure text, counterexample included, when it fails; a check that
+    raises fails its trial with the exception as the text.  With ``census``
     trial 0 is an exhaustive check ahead of the requested random trials.
     """
     def run(trials: int, max_vertices: int, seed: int):
         for i in range(trials + 1 if census else trials):
             sub = _subseed(seed, i)
-            err = check(random.Random(sub), i, max_vertices)
+            try:
+                err = check(random.Random(sub), i, max_vertices)
+            except Exception as e:
+                err = f"check raised {type(e).__name__}: {e}"
             yield Trial(sub, name, err is None, err or "")
 
     return run

@@ -379,7 +379,6 @@ class TestRelabelAndBlocks:
         assert consecutive_blocks([2, 1, 3]) == [
             mask_of([1, 2]), mask_of([3]), mask_of([4, 5, 6])
         ]
-        assert consecutive_blocks([2], start=4) == [mask_of([4, 5])]
 
     def test_embed_on_blocks(self):
         a = make_complex([1, 2], [[1, 2]])

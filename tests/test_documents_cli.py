@@ -1,7 +1,13 @@
 """Document parsing and the command line front end (golden outputs)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import polyprod.spaces as spaces
 import polyprod.verify as verify
 from polyprod.cli import main
 from polyprod.complexes import SimplicialComplex, mask_of
@@ -356,6 +362,23 @@ class TestCliVerify:
             "suite always-fail: 1 trials, 1 failures\n"
         )
 
+    def test_raising_check_is_a_failed_trial(self, capsys, monkeypatch):
+        def broken(K, pairs):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(spaces, "finite_product", broken)
+        code, out, err = run_cli(capsys, "verify", "complement", "--trials", "3")
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "TRIAL 0 complement FAIL",
+            "  check raised ValueError: planted",
+            "TRIAL 1 complement FAIL",
+            "  check raised ValueError: planted",
+            "TRIAL 2 complement FAIL",
+            "  check raised ValueError: planted",
+            "suite complement: 3 trials, 3 failures",
+        ]
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nosuch")
         assert code == 2 and "unknown suite 'nosuch'" in err
@@ -396,3 +419,30 @@ class TestCliErrors:
             code, out, err = run_cli(capsys, "homology", str(bad))
             assert code == 2 and out == ""
             assert err == f"error: {bad}: {message}\n"
+
+
+class TestCliLargeLabels:
+    """A label is a bit position; work must not grow with its size."""
+
+    @pytest.mark.parametrize("command, expected", [
+        ("homology", "d1: Z"),
+        ("dual", "facets: [[]]"),
+        ("hochster", "sigma={20000000} omega={1,2} d1: Z"),
+    ], ids=["homology", "dual", "hochster"])
+    def test_huge_label_finishes(self, tmp_path, command, expected):
+        doc = tmp_path / "far.doc"
+        doc.write_text(
+            "ground: [1,2,20000000]\n"
+            "facets: [[1,2],[1,20000000],[2,20000000]]\n"
+        )
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "polyprod.cli", command, str(doc)],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert expected in done.stdout.splitlines()

@@ -22,7 +22,7 @@ from polyprod.hochster import (
     index_pairs,
     slice_duality_mismatches,
 )
-from polyprod.homology import GF
+from polyprod.homology import GF, reduced_cohomology, reduced_homology
 from polyprod.verify import cone_over_rp2, rp2_complex
 
 
@@ -48,9 +48,22 @@ class TestIndexPairs:
         assert len(list(index_pairs(mask_of([1, 2, 3])))) == 27
         assert len(list(index_pairs(0))) == 1
 
-    def test_omega_only_drops_empty_omega(self):
-        got = list(index_pairs(mask_of([1, 2]), omega_only=True))
-        assert got == [(0, 1), (2, 1), (0, 2), (1, 2), (0, 3)]
+    @pytest.mark.parametrize("ground", [
+        *(mask_of(range(1, n + 1)) for n in range(6)), mask_of([2, 4, 5]),
+    ])
+    def test_matches_a_divmod_counter(self, ground):
+        bits = [1 << (v - 1) for v in vertices_of(ground)]
+        want = []
+        for code in range(3 ** len(bits)):
+            sigma = omega = 0
+            for b in bits:
+                code, digit = divmod(code, 3)
+                if digit == 1:
+                    sigma |= b
+                elif digit == 2:
+                    omega |= b
+            want.append((sigma, omega))
+        assert index_pairs(ground) == want
 
     def test_pairs_are_disjoint_and_inside_ground(self):
         g = mask_of([2, 4, 5])
@@ -121,6 +134,29 @@ class TestHochsterTable:
         assert table.entry(mask_of([1, 2]), mask_of([3])) == table.entry((1, 2), (3,))
 
 
+def _oracle_complexes():
+    rng = random.Random(4401)
+    randoms = [random_complex(rng, range(1, rng.randint(1, 7) + 1))
+               for _ in range(10)]
+    return [rp2_complex(), cone_over_rp2()] + randoms
+
+
+class TestTableAgainstSlices:
+    """Every table entry is the shifted (co)homology of ``K.slice``."""
+
+    @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("cohomology", [False, True],
+                             ids=["homology", "cohomology"])
+    def test_every_entry(self, coeff, cohomology):
+        groups = reduced_cohomology if cohomology else reduced_homology
+        for K in _oracle_complexes():
+            table = hochster_table(K, coeff, cohomology=cohomology)
+            assert len(table.items()) == 3 ** K.n_vertices
+            for (sigma, omega), g in table.items():
+                want = groups(K.slice(sigma, omega), coeff).shift(1)
+                assert g == want, (K, sigma, omega)
+
+
 class TestDualityWitness:
     def test_missing_edge_pair_by_hand(self):
         # two points on {1,2}: the single non-face of the slice at
@@ -139,9 +175,10 @@ class TestDualityWitness:
             alexander_duality_witness(tri(), (1,), (1, 2))
 
     def test_vertex_outside_ambient(self):
-        K = SimplicialComplex.full_simplex(range(1, 4))
+        # the ambient set is K's ground; vertex 3 lies outside it
+        K = SimplicialComplex.full_simplex(range(1, 3))
         with pytest.raises(ValueError, match="vertex 3 is outside"):
-            alexander_duality_witness(K, (1,), (2,), relative_to=(1, 2))
+            alexander_duality_witness(K, (1,), (2, 3))
 
     def test_precomputed_dual_must_match_ambient(self):
         wrong = SimplicialComplex.full_simplex(range(1, 4))

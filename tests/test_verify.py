@@ -2,6 +2,7 @@
 
 import pytest
 
+import polyprod.spaces as spaces
 from polyprod.complexes import (
     SimplicialComplex,
     enumerate_complexes,
@@ -105,6 +106,16 @@ class TestRunSuite:
         b = run_suite("slice-dual", trials=5, max_vertices=5, seed=9)
         assert a == b
         assert [t.seed for t in a.trials] == [9 * 1_000_003 + i for i in range(5)]
+
+    def test_a_raising_check_fails_its_trial(self, monkeypatch):
+        def broken(K, pairs):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(spaces, "finite_product", broken)
+        result = run_suite("complement", trials=3, max_vertices=3)
+        assert len(result.failures) == 3
+        for t in result.trials:
+            assert t.counterexample == "check raised ValueError: planted"
 
     def test_registry_defaults(self):
         expected = {
