@@ -37,12 +37,17 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldCoeff:
-    """Field coefficients: the rationals (p = None) or a prime field."""
+    """Field coefficients: the rationals (p = None) or GF(p), prime p < 2**31."""
 
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        # trial division up to the square root stays instant below the bound
+        if self.p >= 2**31:
+            raise ValueError(f"field characteristic must be below 2**31, got {self.p}")
+        if not _is_prime(self.p):
             raise ValueError(f"field characteristic must be prime, got {self.p}")
 
 
@@ -410,110 +415,60 @@ def relative_homology(omega, L: SimplicialComplex):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over a field (tiny dense systems only)
+# induced maps of inclusions on field homology (tiny dense systems only)
 
-class _Field:
-    def __init__(self, p: int | None):
-        self.p = p
+def _rref(rows, p):
+    """The one field row reduction: ``rows`` in place to reduced echelon form.
 
-    def of(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
-
-    def add(self, a, b):
-        c = a + b
-        return c if self.p is None else c % self.p
-
-    def sub(self, a, b):
-        c = a - b
-        return c if self.p is None else c % self.p
-
-    def mul(self, a, b):
-        c = a * b
-        return c if self.p is None else c % self.p
-
-    def inv(self, a):
-        return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
-
-def _eliminate(rows, width, F):
-    """Row reduce in place; returns the pivot column list."""
+    Exact entries become field entries first: Fractions over Q (``p`` None)
+    or residues mod the prime ``p``.  Returns the pivot columns in
+    increasing order; column ``pivots[r]`` has its 1 in row r, and rows past
+    the last pivot are zero.
+    """
+    rows[:] = [[Fraction(x) if p is None else x % p for x in r] for r in rows]
     pivots = []
-    r = 0
-    for c in range(width):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], p - 2, p)
+        top = rows[r] = [x * inv if p is None else x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y if p is None else (x - f * y) % p
+                           for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
     return pivots
 
 
-def _kernel_basis(cols, nrows, F):
-    """Kernel of the matrix with the given columns (lists of length nrows)."""
-    ncols = len(cols)
-    rows = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
-    pivots = _eliminate(rows, ncols, F)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F.of(0)] * ncols
-        v[fc] = F.of(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(rows[r][fc])
-        basis.append(v)
-    return basis
+def _homology_generators(cx: AugmentedChainComplex, n: int, p) -> list:
+    """Representative cycles, in the degree-n face basis, of a homology basis.
 
+    The cycles are the free-column kernel basis of the boundary out of
+    degree n; the representatives are the cycle columns that are pivots
+    when the boundary columns into degree n come first.
+    """
+    cn = len(cx.bases.get(n, ()))
+    dn = cx.dense_boundary(n)
+    pivots = _rref(dn, p)
+    cycles = []
+    for fc in range(cn):
+        if fc not in pivots:
+            z = [0] * cn
+            z[fc] = 1
+            for r, pc in enumerate(pivots):
+                z[pc] = -dn[r][fc]
+            cycles.append(z)
+    k = len(cx.boundaries.get(n + 1, ()))
+    rows = [b + [z[i] for z in cycles]
+            for i, b in enumerate(cx.dense_boundary(n + 1))]
+    return [cycles[c - k] for c in _rref(rows, p) if c >= k]
 
-def _span_coords(cols, target, F):
-    """Solve sum(x_j * cols[j]) = target; None if inconsistent."""
-    if not cols:
-        return [] if all(not t for t in target) else None
-    n = len(target)
-    rows = [[cols[j][i] for j in range(len(cols))] + [target[i]] for i in range(n)]
-    pivots = _eliminate(rows, len(cols), F)
-    for row in rows:
-        if row[-1] and all(not x for x in row[:-1]):
-            return None
-    coords = [F.of(0)] * len(cols)
-    for r, pc in enumerate(pivots):
-        coords[pc] = rows[r][-1]
-    return coords
-
-
-def _independent_extension(base, candidates, width, F):
-    """Indices of candidates that enlarge the span of ``base`` step by step."""
-    rows = [list(v) for v in base]
-    _eliminate(rows, width, F)
-    rows = [r for r in rows if any(r)]
-    chosen = []
-    for idx, cand in enumerate(candidates):
-        trial = rows + [list(cand)]
-        _eliminate(trial, width, F)
-        trial = [r for r in trial if any(r)]
-        if len(trial) > len(rows):
-            rows = trial
-            chosen.append(idx)
-    return chosen
-
-
-# ---------------------------------------------------------------------------
-# induced maps of inclusions on field homology
 
 @dataclass(frozen=True)
 class InducedDegreeMap:
@@ -525,93 +480,54 @@ class InducedDegreeMap:
     cokernel_dim: int
 
 
-def _field_homology_basis(cx, n, F):
-    """(boundary basis, representative cycles) spanning degree-n homology."""
-    basis_n = cx.bases.get(n, ())
-    cn = len(basis_n)
-    if cn == 0:
-        return [], []
-    cols_out = cx.boundaries.get(n)
-    if cols_out is None:
-        cycles = []
-        for i in range(cn):
-            v = [F.of(0)] * cn
-            v[i] = F.of(1)
-            cycles.append(v)
-    else:
-        nrows = len(cx.bases.get(n - 1, ()))
-        dense_cols = []
-        for col in cols_out:
-            v = [F.of(0)] * nrows
-            for i, s in col:
-                v[i] = F.of(s)
-            dense_cols.append(v)
-        cycles = _kernel_basis(dense_cols, nrows, F)
-    bnd_cols = cx.boundaries.get(n + 1, [])
-    bvecs = []
-    for col in bnd_cols:
-        v = [F.of(0)] * cn
-        for i, s in col:
-            v[i] = F.of(s)
-        bvecs.append(v)
-    rows = [list(v) for v in bvecs]
-    _eliminate(rows, cn, F)
-    bbasis = [r for r in rows if any(r)]
-    rep_idx = _independent_extension(bbasis, cycles, cn, F)
-    return bbasis, [cycles[i] for i in rep_idx]
-
-
 def induced_inclusion_map(A: SimplicialComplex, X: SimplicialComplex,
                           coeff: FieldCoeff = RATIONALS):
     """Degreewise matrices of the map induced by an inclusion of complexes.
 
     Returns a dict mapping each degree where either side has homology to an
-    :class:`InducedDegreeMap`; columns index the subcomplex generators.
-    Field coefficients only.
+    :class:`InducedDegreeMap`; columns index the subcomplex generators and
+    rows the complex's.  Field coefficients only; entries are Fractions
+    over Q and ints mod p.
+
+    Basis rule, on which the matrix depends: on each side the degree-n
+    cycles are the free-column kernel basis of the augmented boundary out of
+    degree n (faces in increasing mask order), and the homology generators
+    are the first cycles, in that order, that are independent modulo the
+    boundaries.  Column j holds the coordinates of the j-th generator of A,
+    included into X, on X's generators modulo X's boundaries.
     """
+    if coeff is None:
+        raise ValueError("induced maps need field coefficients, not the integers")
     if not A.faces <= X.faces:
         extra = next(iter(A.faces - X.faces))
         raise ValueError(
             f"inclusion requires a subcomplex; {list(vertices_of(extra))} is missing"
         )
-    F = _Field(coeff.p)
+    p = coeff.p
     cxa = chain_complex(A)
     cxx = chain_complex(X)
-    ha = reduced_homology(A, coeff)
-    hx = reduced_homology(X, coeff)
+    degrees = set(reduced_homology(A, coeff).degrees())
     out = {}
-    for n in sorted(set(ha.degrees()) | set(hx.degrees())):
-        _, reps_a = _field_homology_basis(cxa, n, F)
-        bnd_x, reps_x = _field_homology_basis(cxx, n, F)
-        basis_x = cxx.bases.get(n, ())
-        xindex = {f: i for i, f in enumerate(basis_x)}
-        cols = [list(v) for v in bnd_x] + [list(v) for v in reps_x]
-        matrix_cols = []
-        for vec in reps_a:
-            moved = [F.of(0)] * len(basis_x)
-            for i, f in enumerate(cxa.bases.get(n, ())):
-                if vec[i]:
-                    moved[xindex[f]] = vec[i]
-            coords = _span_coords(cols, moved, F)
-            if coords is None:
-                raise ArithmeticError("inclusion image escaped the cycle space")
-            matrix_cols.append(coords[len(bnd_x):])
-        dim_a, dim_x = len(reps_a), len(reps_x)
-        matrix = tuple(
-            tuple(matrix_cols[j][i] for j in range(dim_a)) for i in range(dim_x)
-        )
-        rk_rows = [list(r) for r in zip(*matrix)] if matrix and matrix[0] else []
-        if rk_rows:
-            _eliminate(rk_rows, dim_x, F)
-            rank = len([r for r in rk_rows if any(r)])
-        else:
-            rank = 0
-        out[n] = InducedDegreeMap(
-            matrix=matrix,
-            kernel_dim=dim_a - rank,
-            image_dim=rank,
-            cokernel_dim=dim_x - rank,
-        )
+    for n in sorted(degrees.union(reduced_homology(X, coeff).degrees())):
+        gens_a = _homology_generators(cxa, n, p)
+        gens_x = _homology_generators(cxx, n, p)
+        # one reduction of [boundaries into n | X generators | included A
+        # generators]: each A column is a combination of the pivot columns,
+        # and its entries in the X generators' pivot rows are the matrix
+        bnd = cxx.dense_boundary(n + 1)
+        aindex = {f: i for i, f in enumerate(cxa.bases.get(n, ()))}
+        rows = [bnd[i] + [z[i] for z in gens_x]
+                + [z[aindex[f]] if f in aindex else 0 for z in gens_a]
+                for i, f in enumerate(cxx.bases[n])]
+        k = len(cxx.boundaries.get(n + 1, ()))
+        pivots = _rref(rows, p)
+        dim_a, dim_x = len(gens_a), len(gens_x)
+        if pivots and pivots[-1] >= k + dim_x:
+            raise ArithmeticError("inclusion image escaped the cycle space")
+        first = len(pivots) - dim_x
+        matrix = tuple(tuple(rows[first + i][k + dim_x:]) for i in range(dim_x))
+        rank = len(_rref(list(matrix), p))
+        out[n] = InducedDegreeMap(matrix, dim_a - rank, rank, dim_x - rank)
     return out
 
 

@@ -1,7 +1,10 @@
 """Finitely generated abelian groups and graded tensor bookkeeping."""
 
+import doctest
+
 import pytest
 
+import polyprod.abelian
 from polyprod import FgAbelianGroup, GradedGroup, graded_tensor, tensor_additive
 from polyprod.abelian import Z_GROUP, ZERO_GRADED, ZERO_GROUP
 
@@ -124,3 +127,9 @@ class TestGradedTensor:
         s0 = GradedGroup.from_dict({0: FgAbelianGroup(1)})
         t = graded_tensor([s0, s0, s0])
         assert t == GradedGroup.from_dict({2: Z_GROUP})
+
+
+def test_docstring_examples():
+    result = doctest.testmod(polyprod.abelian)
+    assert result.attempted >= 1
+    assert result.failed == 0

@@ -421,6 +421,19 @@ class TestCliErrors:
             assert err == f"error: {bad}: {message}\n"
 
 
+def run_cli_process(*argv):
+    """Run the CLI as a child process under a 20 s timeout."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "polyprod.cli", *argv],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+
+
 class TestCliLargeLabels:
     """A label is a bit position; work must not grow with its size."""
 
@@ -435,14 +448,21 @@ class TestCliLargeLabels:
             "ground: [1,2,20000000]\n"
             "facets: [[1,2],[1,20000000],[2,20000000]]\n"
         )
-        src = str(Path(__file__).parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", "polyprod.cli", command, str(doc)],
-            capture_output=True, text=True, timeout=20, env=env,
-        )
+        done = run_cli_process(command, str(doc))
         assert done.returncode == 0, done.stderr
         assert expected in done.stdout.splitlines()
+
+
+class TestCliLargeCharacteristic:
+    """Primality is checked by trial division, so the prime is bounded first."""
+
+    def test_huge_prime_fails_fast(self, docdir):
+        done = run_cli_process(
+            "homology", str(docdir / "tri.doc"), "--coeff", "p:1000000000000000003"
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: field characteristic must be below 2**31, "
+            "got 1000000000000000003\n"
+        )

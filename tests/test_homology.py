@@ -30,6 +30,7 @@ from polyprod import (
     join,
     make_complex,
     random_complex,
+    random_subcomplex,
     reduced_cohomology,
     reduced_homology,
     relative_homology,
@@ -416,6 +417,112 @@ class TestInducedMaps:
         X = make_complex([1, 2], [[1], [2]])
         with pytest.raises(ValueError, match="subcomplex"):
             induced_inclusion_map(A, X)
+
+    def test_requires_field_coefficients(self):
+        A = cycle_complex(4)
+        with pytest.raises(ValueError, match="need field coefficients"):
+            induced_inclusion_map(A, A, None)
+
+
+def boundary_matrix(faces, n):
+    """Dense boundary from degree n to n - 1 among the given face masks.
+
+    A face of degree n has n + 1 vertices; deleting its i-th smallest one
+    carries sign (-1)^i, and terms outside ``faces`` are dropped, so the
+    faces of X not in A give the boundary of the pair (X, A).
+    """
+    rows = sorted(f for f in faces if f.bit_count() == n)
+    cols = sorted(f for f in faces if f.bit_count() == n + 1)
+    index = {f: i for i, f in enumerate(rows)}
+    m = [[0] * len(cols) for _ in rows]
+    for j, f in enumerate(cols):
+        bits = [b for b in range(f.bit_length()) if f >> b & 1]
+        for i, b in enumerate(bits):
+            sub = f & ~(1 << b)
+            if sub in index:
+                m[index[sub]][j] = (-1) ** i
+    return m
+
+
+def _inclusion_corpus():
+    rng = random.Random(5)
+    for _ in range(200):
+        X = random_complex(rng, range(1, rng.randint(1, 6) + 1))
+        yield random_subcomplex(rng, X), X
+    yield rp2_complex(), cone_over_rp2()
+    yield cycle_complex(4), make_complex(
+        range(1, 5), [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]]
+    )
+
+
+@pytest.mark.parametrize("coeff", [RATIONALS, GF(2), GF(3)], ids=["Q", "GF2", "GF3"])
+class TestInducedMapsAgainstExactSequence:
+    """Dims of H_n(A) -> H_n(X) from ranks alone, with no homology basis.
+
+    The image is (Z_n(A) + B_n(X)) / B_n(X), of dimension
+    dim Z_n(A) - dim(B_n(X) & C_n(A)).  The boundary of the pair (X, A) has
+    rank dim B_n(X) - dim(B_n(X) & C_n(A)), so the image has dimension
+    dim Z_n(A) - rk d^X_{n+1} + rk d^{(X,A)}_{n+1}.
+    """
+
+    def test_dims_match_the_oracle(self, coeff):
+        def rank(m):
+            return rational_rank(m) if coeff.p is None else mod_p_rank(m, coeff.p)
+
+        def betti(K, n):
+            return (sum(1 for f in K.faces if f.bit_count() == n + 1)
+                    - rank(boundary_matrix(K.faces, n))
+                    - rank(boundary_matrix(K.faces, n + 1)))
+
+        checked = 0
+        for A, X in _inclusion_corpus():
+            maps = induced_inclusion_map(A, X, coeff)
+            top = max((f.bit_count() for f in X.faces), default=0)
+            expected = {}
+            for n in range(-1, top):
+                dim_a, dim_x = betti(A, n), betti(X, n)
+                if dim_a or dim_x:
+                    cycles_a = (sum(1 for f in A.faces if f.bit_count() == n + 1)
+                                - rank(boundary_matrix(A.faces, n)))
+                    image = (cycles_a - rank(boundary_matrix(X.faces, n + 1))
+                             + rank(boundary_matrix(X.faces - A.faces, n + 1)))
+                    expected[n] = (dim_a - image, image, dim_x - image)
+            got = {n: (m.kernel_dim, m.image_dim, m.cokernel_dim)
+                   for n, m in maps.items()}
+            assert got == expected, (A, X)
+            for n, m in maps.items():
+                kernel, image, cokernel = expected[n]
+                assert len(m.matrix) == image + cokernel
+                assert all(len(r) == kernel + image for r in m.matrix)
+                assert rank([list(r) for r in m.matrix]) == m.image_dim
+            checked += len(maps)
+        assert checked > 60
+
+    def test_identity_inclusion_gives_identity_matrices(self, coeff):
+        one = Fraction(1) if coeff.p is None else 1
+        for _, X in _inclusion_corpus():
+            for m in induced_inclusion_map(X, X, coeff).values():
+                size = len(m.matrix)
+                assert m.matrix == tuple(
+                    tuple(one if i == j else 0 * one for j in range(size))
+                    for i in range(size)
+                )
+                assert all(type(x) is type(one) for r in m.matrix for x in r)
+                assert (m.kernel_dim, m.cokernel_dim) == (0, 0)
+
+
+class TestFieldCoefficients:
+    def test_characteristic_must_be_prime(self):
+        with pytest.raises(ValueError, match="must be prime"):
+            GF(6)
+        assert GF(2**31 - 1).p == 2**31 - 1
+
+    def test_characteristic_bound_is_checked_first(self):
+        # a prime whose trial division would run for minutes
+        with pytest.raises(ValueError, match=r"below 2\*\*31"):
+            GF(1000000000000000003)
+        with pytest.raises(ValueError, match=r"below 2\*\*31"):
+            GF(2**31)
 
 
 class TestSplitCertificates:

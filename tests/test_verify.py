@@ -9,6 +9,7 @@ from polyprod.complexes import (
     mask_of,
     vertices_of,
 )
+from polyprod.documents import parse_document
 from polyprod.homology import euler_characteristic_reduced, reduced_homology
 from polyprod.verify import (
     _COMPLEX_COUNTS,
@@ -16,6 +17,7 @@ from polyprod.verify import (
     SUITES,
     SuiteResult,
     Trial,
+    _de_morgan_failure,
     cone_over_rp2,
     cycle_complex,
     minimize_complex,
@@ -176,6 +178,34 @@ class TestDetectionPower:
         bad = result.failures[0]
         assert "FAIL" in bad.lines()[0]
         assert bad.counterexample
+
+    def test_de_morgan_failures_shrink_both_complexes(self, monkeypatch):
+        real = SimplicialComplex.union
+
+        def broken(self, other):
+            K = real(self, other)
+            if len(K.faces) > 1:
+                f = max(K.facets())
+                return SimplicialComplex(K.ground, frozenset(K.faces - {f}))
+            return K
+
+        monkeypatch.setattr(SimplicialComplex, "union", broken)
+        result = run_suite("dual", trials=6, max_vertices=4, seed=2)
+        assert len(result.failures) == 7
+        for trial in result.failures:
+            lines = trial.counterexample.splitlines()
+            at = lines.index("first:"), lines.index("second:")
+            K1, K2 = (
+                parse_document("\n".join(l[2:] for l in lines[a + 1:a + 3])).complex()
+                for a in at
+            )
+            assert _de_morgan_failure(K1, K2) == lines[0]
+            for f in K1.facets():
+                smaller = SimplicialComplex(K1.ground, K1.faces - {f})
+                assert _de_morgan_failure(smaller, K2) is None
+            for f in K2.facets():
+                smaller = SimplicialComplex(K2.ground, K2.faces - {f})
+                assert _de_morgan_failure(K1, smaller) is None
 
 
 class TestMinimizeComplex:
