@@ -53,6 +53,14 @@ def _as_mask(x) -> int:
     return x if isinstance(x, int) else mask_of(x)
 
 
+def _slice_faces(faces, sigma: int, omega: int) -> list[int]:
+    # the slice by its definition, {tau subset of omega : sigma | tau a face};
+    # no faces at all (the void complex) when sigma is not a face
+    if sigma not in faces:
+        return []
+    return [e for e in submasks(omega) if sigma | e in faces]
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Immutable simplicial complex: a ground mask and a face-mask family.
@@ -198,10 +206,7 @@ class SimplicialComplex:
         if (s | w) & ~self.ground:
             bad = vertices_of((s | w) & ~self.ground)[0]
             raise ValueError(f"slice vertex {bad} is not in the ground set")
-        keep = ~(s | w)
-        return SimplicialComplex(
-            w, frozenset(f ^ s for f in self.faces if f & s == s and f & keep == 0)
-        )
+        return SimplicialComplex(w, frozenset(_slice_faces(self.faces, s, w)))
 
     def dual(self, relative_to) -> "SimplicialComplex":
         """Alexander dual relative to an ambient set containing the support.

@@ -6,6 +6,11 @@ augmented, so the empty face is a degree -1 generator and the void complex
 has zero homology everywhere, while the complex ``{0}`` has a single Z in
 degree -1.
 
+Smith reduction is a sparse pass over +-1 pivots followed by a dense
+diagonalisation of the small core it leaves.  Ranks, over Z or a field, are
+read off that diagonal; the torsion is put into invariant-factor form once,
+by :meth:`FgAbelianGroup.from_divisors`.
+
 Boundary orientation: the vertices of a face are taken in increasing label
 order and deleting the i-th one carries sign (-1)^i.
 """
@@ -44,6 +49,9 @@ class FieldCoeff:
     def __post_init__(self):
         if self.p is None:
             return
+        # a float would pass the trial division below
+        if type(self.p) is not int:
+            raise ValueError(f"field characteristic must be an integer, got {self.p!r}")
         # trial division up to the square root stays instant below the bound
         if self.p >= 2**31:
             raise ValueError(f"field characteristic must be below 2**31, got {self.p}")
@@ -62,8 +70,9 @@ def GF(p: int) -> FieldCoeff:
 # Smith normal form
 
 def _dense_smith(m: list[list[int]]) -> list[int]:
-    # classical reduction with minimal-|pivot| selection and full carry of
-    # remainders; fine for the small residual cores left by the sparse pass
+    # diagonalisation with minimal-|pivot| selection and full carry of
+    # remainders; fine for the small residual cores left by the sparse pass.
+    # The diagonal need not be a divisibility chain
     rows = len(m)
     cols = len(m[0]) if m else 0
     out = []
@@ -83,7 +92,8 @@ def _dense_smith(m: list[list[int]]) -> list[int]:
         if pj != t:
             for row in m:
                 row[t], row[pj] = row[pj], row[t]
-        while True:
+        dirty = True
+        while dirty:
             p = m[t][t]
             dirty = False
             for i in range(t + 1, rows):
@@ -110,33 +120,20 @@ def _dense_smith(m: list[list[int]]) -> list[int]:
                             row[t], row[j] = row[j], row[t]
                         dirty = True
                         break
-            if dirty:
-                continue
-            clean = True
-            for i in range(t + 1, rows):
-                ri = m[i]
-                for j in range(t + 1, cols):
-                    if ri[j] % p:
-                        rt = m[t]
-                        for j2 in range(t, cols):
-                            rt[j2] += ri[j2]
-                        clean = False
-                        break
-                if not clean:
-                    break
-            if clean:
-                break
         out.append(abs(m[t][t]))
         t += 1
     return out
 
 
 def _invariant_factors(columns) -> list[int]:
-    """Invariant factors of a sparse integer matrix given as columns.
+    """Nonzero diagonal of a diagonal form of a sparse integer matrix.
 
     Each column is a dict, or an iterable of (row, value) pairs.  A unit
-    pass strips +-1 pivots first, then the dense reduction runs on whatever
-    small core remains.
+    pass strips +-1 pivots first, then the dense reduction diagonalises
+    whatever small core remains.  The result is a 1 per unit pivot followed
+    by the core's diagonal: its length is the rank and its product is the
+    product of the invariant factors, but it need not be a divisibility
+    chain; :meth:`FgAbelianGroup.from_divisors` turns it into one.
 
     Pivot rule: the pivot column is the first remaining column, in column
     order, that holds a +-1 entry; within it the unit of least Markowitz
@@ -218,7 +215,9 @@ def smith_normal_form(matrix) -> list[int]:
     """Invariant factors d1 | d2 | ... of a dense integer matrix.
 
     Only the nonzero diagonal entries are returned, so the length of the
-    result is the rank.
+    result is the rank.  The matrix is brought to a diagonal form first;
+    :meth:`FgAbelianGroup.from_divisors` turns that diagonal into the
+    invariant-factor chain.
     """
     matrix = [list(row) for row in matrix]
     if matrix:
@@ -231,7 +230,9 @@ def smith_normal_form(matrix) -> list[int]:
     for j in range(ncols):
         col = {i: row[j] for i, row in enumerate(matrix) if row[j]}
         cols.append(col)
-    return _invariant_factors(cols)
+    diagonal = _invariant_factors(cols)
+    torsion = FgAbelianGroup.from_divisors(0, diagonal).torsion
+    return [1] * (len(diagonal) - len(torsion)) + list(torsion)
 
 
 # ---------------------------------------------------------------------------

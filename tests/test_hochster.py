@@ -1,5 +1,6 @@
 """Bigraded tables, the duality witness, and the composition formulas."""
 
+import itertools
 import random
 
 import pytest
@@ -155,6 +156,93 @@ class TestTableAgainstSlices:
             for (sigma, omega), g in table.items():
                 want = groups(K.slice(sigma, omega), coeff).shift(1)
                 assert g == want, (K, sigma, omega)
+
+
+def _scan_corpus():
+    # rp2, its cone and 20 seeded random complexes of up to 7 vertices, each
+    # random one with a ghost vertex above its ground
+    rng = random.Random(6021)
+    out = [rp2_complex(), cone_over_rp2()]
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        K = random_complex(rng, range(1, n + 1))
+        out.append(SimplicialComplex(K.ground | 1 << n, K.faces))
+    return out
+
+
+def _all_pairs(ground):
+    bits = [1 << i for i in range(ground.bit_length()) if ground >> i & 1]
+    for digits in itertools.product((0, 1, 2), repeat=len(bits)):
+        sigma = sum(b for b, d in zip(bits, digits) if d == 1)
+        omega = sum(b for b, d in zip(bits, digits) if d == 2)
+        yield sigma, omega
+
+
+def _slice_by_face_scan(K, sigma, omega):
+    return frozenset(f ^ sigma for f in K.faces
+                     if f & sigma == sigma and f & ~(sigma | omega) == 0)
+
+
+def _subsets(mask):
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [sum(c) for k in range(len(bits) + 1)
+            for c in itertools.combinations(bits, k)]
+
+
+def _labels(mask):
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _merge_sign(eta, rest):
+    merged = _labels(eta) + _labels(rest)
+    inversions = sum(1 for i, a in enumerate(merged) for b in merged[i + 1:] if a > b)
+    return -1 if inversions % 2 else 1
+
+
+class TestSliceAgainstFaceScan:
+    """``K.slice`` against a scan of every face, written here.
+
+    The table and ``slice`` share one slice rule, so with
+    :class:`TestTableAgainstSlices` this checks the table against a rule
+    that shares no code with it.
+    """
+
+    def test_every_disjoint_pair(self):
+        nonface_sigmas = ghosts = 0
+        for K in _scan_corpus():
+            support = 0
+            for f in K.faces:
+                support |= f
+            ghosts += support != K.ground
+            for sigma, omega in _all_pairs(K.ground):
+                S = K.slice(sigma, omega)
+                assert S.ground == omega
+                assert S.faces == _slice_by_face_scan(K, sigma, omega), (
+                    K, sigma, omega)
+                if sigma not in K.faces:
+                    nonface_sigmas += 1
+                    assert S.is_void
+        assert ghosts >= 20
+        assert nonface_sigmas > 0
+
+
+class TestWitnessAgainstMergeInversions:
+    def test_every_taking_entry(self):
+        for K in _scan_corpus():
+            dual = K.dual(K.ground)
+            for sigma, omega in _all_pairs(K.ground):
+                if not omega:
+                    continue
+                slice_faces = _slice_by_face_scan(K, sigma, omega)
+                want = {}
+                for eta in _subsets(omega):
+                    if eta not in slice_faces:
+                        want.setdefault(bin(eta).count("1") - 1, {})[eta] = (
+                            omega ^ eta, _merge_sign(eta, omega ^ eta))
+                w = alexander_duality_witness(K, sigma, omega,
+                                              precomputed_dual=dual)
+                got = {d: dict(items) for d, items in w.taking}
+                assert got == want, (K, sigma, omega)
 
 
 class TestDualityWitness:

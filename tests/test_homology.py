@@ -194,6 +194,32 @@ class TestSmithNormalForm:
                 f"SNF disagrees with sympy on {shuffled}"
             )
 
+    def test_unitless_matrices_against_sympy_and_minors(self, monkeypatch):
+        # no +-1 entry, so the unit pass finds nothing and every whole
+        # matrix is diagonalised by the dense core
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        from sympy import ZZ, Matrix
+
+        cores = []
+        dense = homology._dense_smith
+        monkeypatch.setattr(homology, "_dense_smith",
+                            lambda m: cores.append((len(m), len(m[0]))) or dense(m))
+        rng = random.Random(5150)
+        values = (0, 2, -2, 3, -3, 4, 6, -9, 10)
+        for _ in range(300):
+            rows = rng.randint(1, 8)
+            cols = rng.randint(1, 8)
+            m = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+            want = [abs(int(d)) for d in
+                    normalforms.invariant_factors(Matrix(m), domain=ZZ) if d]
+            cores.clear()
+            assert smith_normal_form(m) == want, f"SNF disagrees with sympy on {m}"
+            nonzero_rows = sum(1 for row in m if any(row))
+            nonzero_cols = sum(1 for j in range(cols) if any(row[j] for row in m))
+            assert cores == ([(nonzero_rows, nonzero_cols)] if nonzero_rows else [])
+            if rows <= 4 and cols <= 4:
+                assert want == snf_by_minor_gcds(m), m
+
     def test_divisibility_chain_always_holds(self):
         rng = random.Random(99)
         for _ in range(100):
@@ -523,6 +549,14 @@ class TestFieldCoefficients:
             GF(1000000000000000003)
         with pytest.raises(ValueError, match=r"below 2\*\*31"):
             GF(2**31)
+
+    @pytest.mark.parametrize("p", [4.5, 2.0, "3", 1e20],
+                             ids=["4.5", "2.0", "str3", "1e20"])
+    def test_characteristic_must_be_an_integer(self, p):
+        # checked before the bound (1e20 is above it) and before the trial
+        # division, which a float passes
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            GF(p)
 
 
 class TestSplitCertificates:
