@@ -286,10 +286,10 @@ def _check_dual(rng, i: int, max_vertices: int):
     ground = range(1, n + 1)
     K1 = random_complex(rng, ground)
     K2 = random_complex(rng, ground)
-    if err := _dual_failure(K1) or _dual_failure(K2):
-        # shrunk from K1 even when only K2 failed, which keeps the recorded
-        # counterexamples of tests/data/verify_golden.txt
+    if err := _dual_failure(K1):
         K1 = minimize_complex(K1, lambda c: _dual_failure(c) is not None)
+    elif err := _dual_failure(K2):
+        K2 = minimize_complex(K2, lambda c: _dual_failure(c) is not None)
     elif _de_morgan_failure(K1, K2):
         # shrink both by facets on their shared ground until neither can lose
         # one; the shrunk pair may break the other law, so report its own

@@ -1,5 +1,7 @@
 """The randomized verification suites and their support machinery."""
 
+import random
+
 import pytest
 
 import polyprod.spaces as spaces
@@ -7,6 +9,7 @@ from polyprod.complexes import (
     SimplicialComplex,
     enumerate_complexes,
     mask_of,
+    random_complex,
     vertices_of,
 )
 from polyprod.documents import parse_document
@@ -18,6 +21,7 @@ from polyprod.verify import (
     SuiteResult,
     Trial,
     _de_morgan_failure,
+    _dual_failure,
     cone_over_rp2,
     cycle_complex,
     minimize_complex,
@@ -206,6 +210,40 @@ class TestDetectionPower:
             for f in K2.facets():
                 smaller = SimplicialComplex(K2.ground, K2.faces - {f})
                 assert _de_morgan_failure(K1, smaller) is None
+
+
+    def test_involution_failures_shrink_the_failing_complex(self, monkeypatch):
+        # the golden record's dual-drops-facet fault; K1 and K2 are drawn
+        # from each trial's seed as the dual check draws them
+        real = SimplicialComplex.dual
+
+        def broken(self, ambient):
+            d = real(self, ambient)
+            if len(d.faces) > 1:
+                f = max(d.facets())
+                return SimplicialComplex(d.ground, frozenset(d.faces - {f}))
+            return d
+
+        monkeypatch.setattr(SimplicialComplex, "dual", broken)
+        result = run_suite("dual", trials=20, max_vertices=5, seed=5)
+        only_second = 0
+        for trial in result.trials[1:]:
+            rng = random.Random(trial.seed)
+            ground = range(1, rng.randint(1, 5) + 1)
+            K1 = random_complex(rng, ground)
+            K2 = random_complex(rng, ground)
+            if _dual_failure(K1) is not None or _dual_failure(K2) is None:
+                continue
+            only_second += 1
+            lines = trial.counterexample.splitlines()
+            at = lines.index("first:"), lines.index("second:")
+            first, second = (
+                parse_document("\n".join(l[2:] for l in lines[a + 1:a + 3])).complex()
+                for a in at
+            )
+            assert first == K1, trial.seed
+            assert _dual_failure(second) == lines[0], trial.seed
+        assert only_second
 
 
 class TestMinimizeComplex:
