@@ -307,6 +307,8 @@ def _smith_data(cx: AugmentedChainComplex):
 
 
 def _field_rank(factors, p) -> int:
+    # any diagonal form gives the Smith form's count: the transforms are
+    # unimodular over Z, so they stay invertible mod p
     if p is None:
         return len(factors)
     return sum(1 for d in factors if d % p)

@@ -170,8 +170,12 @@ def _scan_corpus():
     return out
 
 
+def _bits(mask):
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _all_pairs(ground):
-    bits = [1 << i for i in range(ground.bit_length()) if ground >> i & 1]
+    bits = _bits(ground)
     for digits in itertools.product((0, 1, 2), repeat=len(bits)):
         sigma = sum(b for b, d in zip(bits, digits) if d == 1)
         omega = sum(b for b, d in zip(bits, digits) if d == 2)
@@ -184,17 +188,14 @@ def _slice_by_face_scan(K, sigma, omega):
 
 
 def _subsets(mask):
-    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    bits = _bits(mask)
     return [sum(c) for k in range(len(bits) + 1)
             for c in itertools.combinations(bits, k)]
 
 
-def _labels(mask):
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _merge_sign(eta, rest):
-    merged = _labels(eta) + _labels(rest)
+    # sorted labels of eta followed by those of rest
+    merged = [b.bit_length() for b in _bits(eta) + _bits(rest)]
     inversions = sum(1 for i, a in enumerate(merged) for b in merged[i + 1:] if a > b)
     return -1 if inversions % 2 else 1
 
