@@ -201,21 +201,15 @@ def _cmd_moment_angle(args) -> int:
     lines.append("total:")
     lines += _graded_lines(report.total, "  ")
     lines.append("ledger:")
-    entries = []
     for e in report.ledger:
-        if e.kind == "hat":
-            entries.append(f"  hat sigma={_mask_text(e.sigma)} -> d{e.degree}")
-        elif e.kind == "hat_rel":
-            entries.append(f"  hat_rel sigma={_mask_text(e.sigma)} -> d{e.degree}")
-        else:
-            entries.append(
+        if e.kind == "bar":
+            lines.append(
                 f"  bar sigma={_mask_text(e.sigma)} omega={_mask_text(e.omega)} "
                 f"t={e.shift} d{e.source_degree}: {e.group.render()} -> "
                 f"d{e.degree}"
             )
-    if not entries:
-        entries.append("  (empty)")
-    lines += entries
+        else:
+            lines.append(f"  {e.kind} sigma={_mask_text(e.sigma)} -> d{e.degree}")
     _print(lines)
     return 0
 

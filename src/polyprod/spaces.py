@@ -279,14 +279,20 @@ def sphere_pair_duality_check(K: SimplicialComplex,
     """Degreewise and entrywise duality between a space and its complement.
 
     The complement space lives over the Alexander dual of K with parameters
-    (r_k, r_k - q_k).  Checks, with r the total degree sum of (r_k + 1):
+    (r_k, r_k - q_k).  Checks on each call, with r the total degree sum of
+    (r_k + 1):
 
     * every bar entry of K at (sigma, omega), internal degree d, matches the
       complement's cohomology bar entry at (complement sigma, omega) in
-      internal degree |omega| - d - 1, with total degrees pairing to r - 1;
+      internal degree |omega| - d - 1;
     * the assembled bar gradings agree under degree -> r - degree - 1;
-    * hat entries pair with 'hat_rel' entries of the complement under
-      sigma -> complement of sigma, with degrees pairing to r.
+    * hat entries pair one to one with 'hat_rel' entries of the complement
+      under sigma -> complement of sigma.
+
+    Because ``complement`` sends q_k to r_k - q_k, paired bar degrees sum
+    to r - 1 and paired hat degrees to r for every K; these sums are not
+    checked per call.  ``TestLedgerDegreeIdentities`` in
+    ``tests/test_spaces.py`` pins both.
     """
     kverts = vertices_of(K.ground)
     _require_count(len(kverts), len(system.params), "sphere pairs")
@@ -306,18 +312,6 @@ def sphere_pair_duality_check(K: SimplicialComplex,
                 f"bar entry mismatch at sigma={list(vertices_of(sigma))} "
                 f"omega={list(vertices_of(omega))} degree {d}: {lhs} vs {rhs}",
             )
-        if table.entry(sigma, omega).is_zero:
-            continue
-        # a class in degree d pairs with one in |omega| - d - 1, so the
-        # total degrees (d + t) + (|omega| - d - 1 + t_c) must make r - 1
-        t = system.shift_of(kverts, sigma, omega)
-        t_c = co_system.shift_of(kverts, K.ground & ~(sigma | omega), omega)
-        if t + t_c + omega.bit_count() != r:
-            return Verdict(
-                False,
-                f"shift bookkeeping broken at sigma={list(vertices_of(sigma))} "
-                f"omega={list(vertices_of(omega))}",
-            )
     for d in set(report.bar.degrees()) | {
         r - d - 1 for d in co_report.bar.degrees()
     }:
@@ -327,7 +321,7 @@ def sphere_pair_duality_check(K: SimplicialComplex,
                 f"assembled bar mismatch in degree {d}: "
                 f"{report.bar.at(d)} vs {co_report.bar.at(r - d - 1)}",
             )
-    rel = {e.sigma: e.degree for e in co_report.entries("hat_rel")}
+    rel = {e.sigma for e in co_report.entries("hat_rel")}
     hats = report.entries("hat")
     if len(hats) != len(rel):
         return Verdict(False, "hat and relative-hat counts differ")
@@ -337,11 +331,5 @@ def sphere_pair_duality_check(K: SimplicialComplex,
             return Verdict(
                 False,
                 f"hat at sigma={list(vertices_of(e.sigma))} has no relative partner",
-            )
-        if e.degree + rel[partner] != r:
-            return Verdict(
-                False,
-                f"hat degrees at sigma={list(vertices_of(e.sigma))} "
-                f"pair to {e.degree + rel[partner]}, expected {r}",
             )
     return Verdict(True)

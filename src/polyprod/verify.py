@@ -328,13 +328,8 @@ def _check_slice_dual(rng, i: int, max_vertices: int):
     err = _slice_dual_failure(K, sigma, omega)
     if err is None:
         return None
-
-    def fails(c):
-        if (sigma | omega) & ~c.ground:
-            return False
-        return _slice_dual_failure(c, sigma, omega) is not None
-
-    small = minimize_complex(K, fails, drop_vertices=False)
+    small = minimize_complex(K, lambda c: _slice_dual_failure(c, sigma, omega) is not None,
+                             drop_vertices=False)
     return err + "\n" + _serialize(complex=small)
 
 

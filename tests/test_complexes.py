@@ -146,6 +146,10 @@ class TestLocalOperations:
         with pytest.raises(ValueError, match="disjoint"):
             self.tri.slice([1], [1, 2])
 
+    def test_slice_validates_ground(self):
+        with pytest.raises(ValueError, match="slice vertex 4 is not in the ground set"):
+            self.tri.slice([1], [2, 4])
+
     def test_slice_keeps_global_labels(self):
         K = make_complex(range(1, 5), [[1, 2, 3], [3, 4]])
         S = K.slice([3], [4])
@@ -279,6 +283,13 @@ class TestPolyhedralComplex:
         with pytest.raises(ValueError, match="overlap"):
             polyhedral_complex(K2, [(x1, x1), (x1, x1)])
 
+    def test_pair_sides_must_share_a_ground(self):
+        K = SimplicialComplex.full_simplex([1])
+        x = SimplicialComplex.full_simplex([1, 2])
+        a = SimplicialComplex.empty_face_complex([1])
+        with pytest.raises(ValueError, match="each pair must share one ground set"):
+            polyhedral_complex(K, [(x, a)])
+
     def test_membership_rule_by_hand(self):
         # K = two points; A_1 void forces position 1 into tau at every face
         K = SimplicialComplex.boundary_simplex([1, 2])
@@ -318,6 +329,12 @@ class TestGhostFactorization:
         assert core.is_void
         assert join([core] + cones).is_void
         assert polyhedral_complex(K, pairs).is_void
+
+    def test_pair_count_must_match(self):
+        K = SimplicialComplex.boundary_simplex([1, 2])
+        pairs = [(SimplicialComplex.full_simplex([1]), SimplicialComplex.void([1]))]
+        with pytest.raises(ValueError, match="expected 2 pairs for the ground of K, got 1"):
+            ghost_factorization(K, pairs)
 
 
 class TestEnumerationAndRandom:
@@ -379,6 +396,10 @@ class TestRelabelAndBlocks:
         assert consecutive_blocks([2, 1, 3]) == [
             mask_of([1, 2]), mask_of([3]), mask_of([4, 5, 6])
         ]
+
+    def test_consecutive_blocks_reject_negative_sizes(self):
+        with pytest.raises(ValueError, match="block sizes must be nonnegative"):
+            consecutive_blocks([2, -1])
 
     def test_embed_on_blocks(self):
         a = make_complex([1, 2], [[1, 2]])

@@ -122,6 +122,13 @@ class TestCliDual:
         assert code == 0
         assert out == "ground: [1,2,3,4]\nfacets: [[4],[1,2,3]]\n"
 
+    def test_bad_ambient_vertex(self, docdir, capsys):
+        code, out, err = run_cli(
+            capsys, "dual", str(docdir / "tri.doc"), "--relative-to", "1,x"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: bad vertex 'x' in '1,x'\n"
+
 
 class TestCliHomology:
     def test_triangle_boundary(self, docdir, capsys):
@@ -273,6 +280,13 @@ class TestCliHochster:
         assert code == 2
         assert "must look like sigma:omega" in err
 
+    def test_no_pairs_given(self, docdir, capsys):
+        code, out, err = run_cli(
+            capsys, "hochster", str(docdir / "tri.doc"), "--pairs", ";"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: no pairs given\n"
+
 
 class TestCliMomentAngle:
     def test_empty_face_oracle(self, docdir, capsys):
@@ -328,6 +342,20 @@ class TestCliMomentAngle:
             capsys, "moment-angle", str(docdir / "tri.doc"), "--pairs", "1-0"
         )
         assert code == 2 and "must look like r:q" in err
+
+    def test_no_sphere_pairs_given(self, docdir, capsys):
+        code, out, err = run_cli(
+            capsys, "moment-angle", str(docdir / "tri.doc"), "--pairs", ","
+        )
+        assert code == 2 and out == ""
+        assert err == "error: no sphere pairs given\n"
+
+    def test_bad_integers(self, docdir, capsys):
+        code, out, err = run_cli(
+            capsys, "moment-angle", str(docdir / "s0.doc"), "--pairs", "a:b"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: bad integers in sphere pair 'a:b'\n"
 
 
 class TestCliVerify:

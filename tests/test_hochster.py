@@ -246,6 +246,64 @@ class TestWitnessAgainstMergeInversions:
                 assert got == want, (K, sigma, omega)
 
 
+def _chain_map_corpus():
+    # rp2, its cone and 40 seeded random complexes on 3 to 6 vertices
+    rng = random.Random(7107)
+    return [rp2_complex(), cone_over_rp2()] + [
+        random_complex(rng, range(1, rng.randint(3, 6) + 1)) for _ in range(40)
+    ]
+
+
+class TestWitnessIsAChainMap:
+    """The witness's ``taking`` against chain complexes built here.
+
+    The witness checks no square: its ``sign_profile`` is (-1)^d in every
+    degree d that has one, for every K.  This pins that rule, and that
+    eta - v is a generator exactly when (omega - eta) + v is a dual face,
+    against the relative boundary of (simplex on omega, slice) and the
+    coboundary of the dual slice, both written from their definitions.
+    """
+
+    def test_boundary_and_coboundary_intertwine(self):
+        pairs = 0
+        for K in _chain_map_corpus():
+            ground = K.ground
+            dual_faces = {t for t in _subsets(ground) if ground ^ t not in K.faces}
+            dual = K.dual(ground)
+            for sigma, omega in _all_pairs(ground):
+                if not omega:
+                    continue
+                rest = ground & ~(sigma | omega)
+                dual_slice = {t for t in _subsets(omega) if rest | t in dual_faces}
+                w = alexander_duality_witness(K, sigma, omega, precomputed_dual=dual)
+                phi = {eta: image for _, items in w.taking for eta, image in items}
+                assert set(phi) == set(_subsets(omega)) - _slice_by_face_scan(
+                    K, sigma, omega)
+                eps = dict(w.sign_profile)
+                squares = set()
+                for eta, (comp, sign) in phi.items():
+                    # phi of the relative boundary: faces of the slice are zero
+                    lhs = {}
+                    for i, b in enumerate(_bits(eta)):
+                        if eta ^ b in phi:
+                            image, image_sign = phi[eta ^ b]
+                            lhs[image] = (-1) ** i * image_sign
+                    # the dual coboundary of phi(eta)
+                    rhs = {}
+                    for b in _bits(omega & ~comp):
+                        if comp | b in dual_slice:
+                            rhs[comp | b] = (-1) ** _bits(comp | b).index(b) * sign
+                    if lhs or rhs:
+                        d = bin(eta).count("1") - 1
+                        squares.add(d)
+                        assert d in eps, (K, sigma, omega, eta)
+                        assert lhs == {c: eps[d] * x for c, x in rhs.items()}, (
+                            K, sigma, omega, eta)
+                assert set(eps) == squares, (K, sigma, omega)
+                pairs += 1
+        assert pairs > 10000
+
+
 class TestDualityWitness:
     def test_missing_edge_pair_by_hand(self):
         # two points on {1,2}: the single non-face of the slice at

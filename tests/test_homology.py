@@ -541,6 +541,8 @@ class TestFieldCoefficients:
     def test_characteristic_must_be_prime(self):
         with pytest.raises(ValueError, match="must be prime"):
             GF(6)
+        with pytest.raises(ValueError, match="must be prime, got 1$"):
+            GF(1)
         assert GF(2**31 - 1).p == 2**31 - 1
 
     def test_characteristic_bound_is_checked_first(self):

@@ -260,3 +260,58 @@ class TestSpherePairDuality:
     def test_parameter_count_validation(self):
         with pytest.raises(ValueError, match="expected 2 sphere pairs"):
             sphere_pair_duality_check(two_points(), SpherePairSystem.of((1, 0)))
+
+
+def _shift(params, sigma, omega):
+    # r_k + 1 for each position k in sigma, q_k for each in omega (vertex k + 1)
+    return sum(r + 1 if sigma >> k & 1 else q if omega >> k & 1 else 0
+               for k, (r, q) in enumerate(params))
+
+
+class TestLedgerDegreeIdentities:
+    """Degree sums of a ledger and its complement's, recomputed here.
+
+    They hold for every K, so ``sphere_pair_duality_check`` does not test
+    them per call: a bar class in degree d + t(sigma, omega) pairs with the
+    complement's class at (ground - sigma - omega, omega) in degree
+    r - 1 - (d + t), and a hat at sigma with the complement's hat_rel at
+    ground - sigma in degree r - t(sigma), with r the sum of r_k + 1.
+    """
+
+    def test_bar_and_hat_pairings(self):
+        rng = random.Random(7207)
+        bars = 0
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            K = random_complex(rng, range(1, n + 1))
+            params = []
+            for _ in range(n):
+                r = rng.randint(0, 3)
+                params.append((r, rng.randint(0, r)))
+            co_params = [(r, r - q) for r, q in params]
+            S = SpherePairSystem.of(*params)
+            assert S.complement() == SpherePairSystem.of(*co_params)
+            total = sum(r + 1 for r, _ in params)
+            ground = K.ground
+            report = sphere_pair_homology(K, S)
+            co_report = sphere_pair_homology(
+                K.dual(ground), SpherePairSystem.of(*co_params))
+            for rep, ps in ((report, params), (co_report, co_params)):
+                for e in rep.ledger:
+                    assert e.shift == _shift(ps, e.sigma, e.omega or 0), e
+                    assert e.degree == e.shift + e.source_degree, e
+            # on at most 5 vertices every slice is torsion-free, so each
+            # bar class has a partner in the complement's homology ledger
+            co_bar = {(e.sigma, e.omega, e.source_degree): e.degree
+                      for e in co_report.entries("bar")}
+            assert len(co_bar) == len(report.entries("bar"))
+            for e in report.entries("bar"):
+                partner = (ground & ~(e.sigma | e.omega), e.omega,
+                           bin(e.omega).count("1") - e.source_degree - 1)
+                assert e.degree + co_bar[partner] == total - 1, (K, params, e)
+                bars += 1
+            co_rel = {e.sigma: e.degree for e in co_report.entries("hat_rel")}
+            assert len(co_rel) == len(report.entries("hat"))
+            for e in report.entries("hat"):
+                assert e.degree + co_rel[ground & ~e.sigma] == total, (K, params, e)
+        assert bars > 100
