@@ -16,6 +16,7 @@ Labels are global: links, restrictions and slices never relabel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 
@@ -53,12 +54,54 @@ def _as_mask(x) -> int:
     return x if isinstance(x, int) else mask_of(x)
 
 
+# Expand tables of omegas of at most EXPAND_CACHED_VERTICES vertices are
+# cached, EXPAND_CACHE_SIZE of them; the benchmark workloads, whose grounds
+# have at most 9 vertices, walk fewer distinct omegas than that
+EXPAND_CACHE_SIZE = 1024
+EXPAND_CACHED_VERTICES = 12
+
+
+def _build_expand(omega: int) -> tuple[int, ...]:
+    ex = [0]
+    while omega:
+        low = omega & -omega
+        ex += [e | low for e in ex]
+        omega ^= low
+    return tuple(ex)
+
+
+_cached_expand = lru_cache(maxsize=EXPAND_CACHE_SIZE)(_build_expand)
+
+
+def _expand(omega: int) -> tuple[int, ...]:
+    # ex[c] is the submask of omega picked out by the bits of the code c (bit
+    # i stands for the i-th smallest vertex of omega); ascending in c, since
+    # the relabelling is monotone
+    if omega.bit_count() <= EXPAND_CACHED_VERTICES:
+        return _cached_expand(omega)
+    return _build_expand(omega)
+
+
+def _link_support(faces, sigma: int, within: int) -> int:
+    # the vertices v of ``within`` with sigma + v a face: every face of the
+    # slice at (sigma, omega) lies in omega cut down to them
+    support = 0
+    while within:
+        low = within & -within
+        if sigma | low in faces:
+            support |= low
+        within ^= low
+    return support
+
+
 def _slice_faces(faces, sigma: int, omega: int) -> list[int]:
-    # the slice by its definition, {tau subset of omega : sigma | tau a face};
+    # the slice by its definition, {tau subset of omega : sigma | tau a face},
+    # with tau running over the subsets of omega inside the link support only;
     # no faces at all (the void complex) when sigma is not a face
     if sigma not in faces:
         return []
-    return [e for e in submasks(omega) if sigma | e in faces]
+    return [e for e in _expand(_link_support(faces, sigma, omega))
+            if sigma | e in faces]
 
 
 @dataclass(frozen=True)

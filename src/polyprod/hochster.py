@@ -13,17 +13,23 @@ of the dual slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .abelian import GradedGroup, tensor_additive
 from .complexes import (
     SimplicialComplex,
     _as_mask,
-    _slice_faces,
+    _expand,
+    _link_support,
     composition_complex,
-    submasks,
     vertices_of,
 )
-from .homology import FieldCoeff, homology_of_faces, reduced_homology
+from .homology import (
+    FieldCoeff,
+    _groups_from_key,
+    homology_of_faces,
+    reduced_homology,
+)
 
 
 def index_pairs(ground) -> list[tuple[int, int]]:
@@ -76,6 +82,12 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     (co)homology of the slice in degree d - 1.  Slices at non-faces are
     void, giving zero entries; the entry at (sigma, empty) is Z at degree
     0 exactly when sigma is a face.
+
+    The link support of each face sigma (the v with sigma + v a face) is
+    computed once.  The slice at (sigma, omega) has the faces of the slice
+    at omega cut down to that support, so the two pairs share one entry,
+    and the homology cache key is read off directly: the codes of those
+    faces as subsets of the cut-down omega.
     """
     if pairs is None:
         pair_list = index_pairs(K.ground)
@@ -87,12 +99,34 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
             if (s | w) & ~K.ground:
                 bad = vertices_of((s | w) & ~K.ground)[0]
                 raise ValueError(f"pair vertex {bad} is not in the ground set")
+    faces = K.faces
     empty = GradedGroup()
+    # per face sigma: its link support and the entries computed so far, by
+    # omega cut down to that support; False for a non-face
+    links: dict[int, tuple[int, dict[int, GradedGroup]] | bool] = {}
+    shifted: dict[tuple[int, ...], GradedGroup] = {}
     rows = []
-    for sigma, omega in pair_list:
-        faces = _slice_faces(K.faces, sigma, omega)
-        g = homology_of_faces(faces, coeff, cohomology).shift(1) if faces else empty
-        rows.append(((sigma, omega), g))
+    for pair in pair_list:
+        sigma, omega = pair
+        link = links.get(sigma)
+        if link is None:
+            link = links[sigma] = sigma in faces and (
+                _link_support(faces, sigma, K.ground & ~sigma), {})
+        if not link:
+            rows.append((pair, empty))
+            continue
+        # the slices at omega and at omega inside the link support have the
+        # same faces, whose codes in the latter are the homology cache key
+        support, computed = link
+        w = omega & support
+        g = computed.get(w)
+        if g is None:
+            key = tuple([c for c, e in enumerate(_expand(w)) if sigma | e in faces])
+            g = shifted.get(key)
+            if g is None:
+                g = shifted[key] = _groups_from_key(key, coeff, cohomology).shift(1)
+            computed[w] = g
+        rows.append((pair, g))
     return BigradedTable(K.ground, tuple(rows), cohomology)
 
 
@@ -103,15 +137,23 @@ class DualityCheckError(AssertionError):
     """A structural duality identity failed to verify."""
 
 
-def _shuffle_sign(eta: int, rest: int) -> int:
-    # parity of the merge of sorted(eta) before sorted(rest): each vertex
-    # of eta passes every smaller vertex of rest
-    inv = 0
-    while eta:
-        low = eta & -eta
-        inv += (rest & (low - 1)).bit_count()
-        eta ^= low
-    return -1 if inv & 1 else 1
+# one code table per omega size; benchmark complexes have at most 9 vertices
+CODE_LEVEL_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=CODE_LEVEL_CACHE_SIZE)
+def _code_levels(n: int):
+    # for an omega of n vertices, level k lists in ascending order the codes
+    # c of the k-subsets eta with the sign of the merge of sorted(eta) before
+    # sorted(omega - eta); putting position i into a code c below 2^i passes
+    # the i - popcount(c) positions below i left out of c
+    parity = [0]
+    for i in range(n):
+        parity += [p ^ (i - c.bit_count()) & 1 for c, p in enumerate(parity)]
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for c, p in enumerate(parity):
+        levels[c.bit_count()].append((c, -1 if p else 1))
+    return tuple(tuple(level) for level in levels)
 
 
 @dataclass(frozen=True)
@@ -119,7 +161,8 @@ class DualityWitness:
     """A verified signed bijection between a slice pair and its dual.
 
     ``taking[d]`` maps each degree-d generator (a non-face of the slice,
-    as a mask) to ``(dual face mask, sign)``.  ``sign_profile[d]`` is the
+    as a mask) to ``(dual face mask, sign)``, listing the generators in
+    ascending mask order within each degree.  ``sign_profile[d]`` is the
     single sign by which the bijection intertwines the relative boundary
     with the dual cochain differential when passing from degree d to d-1,
     listed for each degree that has a square.  It is (-1)^d for every K,
@@ -177,32 +220,36 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
         raise ValueError("precomputed dual does not match the ambient set")
     dual_slice = dual.slice(sigma_tilde, w).faces
 
-    nonfaces = [e for e in submasks(w) if e not in slice_faces]
-    if len(nonfaces) != len(dual_slice):
+    ex = _expand(w)
+    taking = []
+    count = 0
+    for k, level in enumerate(_code_levels(w.bit_count())):
+        items = tuple([(eta, (w ^ eta, sign)) for c, sign in level
+                       if (eta := ex[c]) not in slice_faces])
+        if items:
+            taking.append((k - 1, items))
+            count += len(items)
+    if count != len(dual_slice):
         raise DualityCheckError(
             "non-face count does not match the dual slice face count"
         )
-    taking: dict[int, dict[int, tuple[int, int]]] = {}
-    profile: dict[int, int] = {}
-    for eta in nonfaces:
-        comp = w ^ eta
-        if comp not in dual_slice:
-            raise DualityCheckError(
-                f"complement of {list(vertices_of(eta))} is not a dual face"
-            )
-        k = eta.bit_count()
-        taking.setdefault(k - 1, {})[eta] = (comp, _shuffle_sign(eta, comp))
-        if eta != w:
-            # the slice is closed under subsets, so eta + v is a generator
-            # for each v in comp: a square runs from degree k to k - 1
-            profile[k] = -1 if k & 1 else 1
+    # with the counts equal, every complement of a non-face is a dual face
+    # exactly when no complement of a dual face is a face
+    if not slice_faces.isdisjoint(map(w.__xor__, dual_slice)):
+        missing = max(eta for _, items in taking for eta, (comp, _) in items
+                      if comp not in dual_slice)
+        raise DualityCheckError(
+            f"complement of {list(vertices_of(missing))} is not a dual face"
+        )
+    # the slice is closed under subsets, so eta + v is a generator for each
+    # v in omega - eta: a square runs from degree |eta| to |eta| - 1 for
+    # every generator but omega itself
+    squares = [d + 1 for d, _ in taking if d + 1 < w.bit_count()]
     return DualityWitness(
         sigma=s,
         omega=w,
-        taking=tuple(
-            (d, tuple(sorted(items.items()))) for d, items in sorted(taking.items())
-        ),
-        sign_profile=tuple(sorted(profile.items())),
+        taking=tuple(taking),
+        sign_profile=tuple((k, -1 if k & 1 else 1) for k in squares),
     )
 
 
@@ -224,6 +271,10 @@ def slice_duality_mismatches(table: BigradedTable,
             continue
         rhs = dual_cohomology.entry(g & ~(sigma | omega), omega)
         wsize = omega.bit_count()
+        reindexed = tuple((wsize - e - 1, grp) for e, grp in reversed(rhs.groups))
+        if lhs.groups == reindexed:
+            yield sigma, omega, None
+            continue
         mismatch = None
         for d in set(lhs.degrees()) | {wsize - e - 1 for e in rhs.degrees()}:
             if lhs.at(d) != rhs.at(wsize - d - 1):

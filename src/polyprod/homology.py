@@ -355,13 +355,19 @@ def _canonical_faces(faces) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+# Bounds of the two homology caches: a round of the busiest benchmark
+# workload (verify-suites) fills about 1,300 and 2,300 entries
+HOMOLOGY_DATA_CACHE_SIZE = 4096
+GROUPS_CACHE_SIZE = 8192
+
+
+@lru_cache(maxsize=HOMOLOGY_DATA_CACHE_SIZE)
 def _homology_data(key: tuple[int, ...]):
     # key is a canonical face-mask family
     return _smith_data(_chain_complex(key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GROUPS_CACHE_SIZE)
 def _groups_from_key(key, coeff, cohomology) -> GradedGroup:
     return _graded_groups(*_homology_data(key), coeff, cohomology)
 

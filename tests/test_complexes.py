@@ -142,6 +142,15 @@ class TestLocalOperations:
         S3 = self.tri.slice(mask_of([1, 2, 3]), 0)
         assert S3.is_void
 
+    def test_slice_over_a_wide_ground_walks_the_link_support(self):
+        # 27 ghost vertices: only the subsets of omega inside the link
+        # support are tried, not all 2^30 of them
+        K = SimplicialComplex(mask_of(range(1, 31)), self.tri.faces)
+        S = K.slice(0, K.ground)
+        assert S.ground == K.ground
+        assert S.faces == self.tri.faces
+        assert K.slice([1], range(2, 31)).faces == frozenset({0, 2, 4})
+
     def test_slice_rejects_overlap(self):
         with pytest.raises(ValueError, match="disjoint"):
             self.tri.slice([1], [1, 2])

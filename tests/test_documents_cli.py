@@ -481,6 +481,18 @@ class TestCliLargeLabels:
         assert expected in done.stdout.splitlines()
 
 
+class TestCliWideGround:
+    """A slice walks the subsets of omega inside the link support only."""
+
+    def test_slice_over_thirty_vertices_finishes(self, tmp_path):
+        labels = ",".join(str(v) for v in range(1, 31))
+        doc = tmp_path / "wide.doc"
+        doc.write_text(f"ground: [{labels}]\nfacets: [[1,2],[1,3],[2,3]]\n")
+        done = run_cli_process("hochster", str(doc), "--pairs", f":{labels}")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [f"sigma={{}} omega={{{labels}}} d2: Z"]
+
+
 class TestCliLargeCharacteristic:
     """Primality is checked by trial division, so the prime is bounded first."""
 

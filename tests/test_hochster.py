@@ -10,11 +10,13 @@ from polyprod.complexes import (
     SimplicialComplex,
     mask_of,
     random_complex,
+    submasks,
     vertices_of,
 )
 from polyprod.hochster import (
     BigradedTable,
     DualityCheckError,
+    DualityWitness,
     alexander_duality_witness,
     composition_homology,
     duality_group_sides,
@@ -23,7 +25,12 @@ from polyprod.hochster import (
     index_pairs,
     slice_duality_mismatches,
 )
-from polyprod.homology import GF, reduced_cohomology, reduced_homology
+from polyprod.homology import (
+    GF,
+    homology_of_faces,
+    reduced_cohomology,
+    reduced_homology,
+)
 from polyprod.verify import cone_over_rp2, rp2_complex
 
 
@@ -203,9 +210,8 @@ def _merge_sign(eta, rest):
 class TestSliceAgainstFaceScan:
     """``K.slice`` against a scan of every face, written here.
 
-    The table and ``slice`` share one slice rule, so with
-    :class:`TestTableAgainstSlices` this checks the table against a rule
-    that shares no code with it.
+    :class:`TestTableAgainstFaceScan` checks the table against the same
+    scan.
     """
 
     def test_every_disjoint_pair(self):
@@ -244,6 +250,76 @@ class TestWitnessAgainstMergeInversions:
                                               precomputed_dual=dual)
                 got = {d: dict(items) for d, items in w.taking}
                 assert got == want, (K, sigma, omega)
+
+
+class TestTableAgainstFaceScan:
+    """Every table entry against the homology of a face scan written here.
+
+    The table walks codes of the subsets of omega inside the link support
+    of sigma; the scan keeps each face of K that contains sigma and lies in
+    sigma + omega, so it shares no code with the slice rule.
+    """
+
+    @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("cohomology", [False, True],
+                             ids=["homology", "cohomology"])
+    def test_every_entry(self, coeff, cohomology):
+        for K in _scan_corpus():
+            table = dict(hochster_table(K, coeff, cohomology=cohomology).items())
+            pairs = list(_all_pairs(K.ground))
+            assert len(table) == len(pairs)
+            for sigma, omega in pairs:
+                scan = _slice_by_face_scan(K, sigma, omega)
+                want = homology_of_faces(scan, coeff, cohomology).shift(1)
+                assert table[sigma, omega] == want, (K, sigma, omega)
+
+
+def _shuffle_sign(eta, rest):
+    # each vertex of eta passes every smaller vertex of rest
+    inversions = 0
+    while eta:
+        low = eta & -eta
+        inversions += bin(rest & (low - 1)).count("1")
+        eta ^= low
+    return -1 if inversions % 2 else 1
+
+
+def _witness_by_definition(K, sigma, omega):
+    # every subset of omega, largest first, then sorted into place
+    slice_faces = _slice_by_face_scan(K, sigma, omega)
+    taking, profile = {}, {}
+    for eta in submasks(omega):
+        if eta in slice_faces:
+            continue
+        k = bin(eta).count("1")
+        rest = omega ^ eta
+        taking.setdefault(k - 1, {})[eta] = (rest, _shuffle_sign(eta, rest))
+        if eta != omega:
+            profile[k] = -1 if k % 2 else 1
+    return DualityWitness(
+        sigma=sigma,
+        omega=omega,
+        taking=tuple((d, tuple(sorted(items.items())))
+                     for d, items in sorted(taking.items())),
+        sign_profile=tuple(sorted(profile.items())),
+    )
+
+
+class TestWitnessAgainstItsDefinition:
+    """The whole witness, ``taking`` order included, built here."""
+
+    def test_every_nonempty_omega_pair(self):
+        pairs = 0
+        for K in _scan_corpus():
+            dual = K.dual(K.ground)
+            for sigma, omega in _all_pairs(K.ground):
+                if omega:
+                    got = alexander_duality_witness(K, sigma, omega,
+                                                    precomputed_dual=dual)
+                    assert got == _witness_by_definition(K, sigma, omega), (
+                        K, sigma, omega)
+                    pairs += 1
+        assert pairs > 14000
 
 
 def _chain_map_corpus():
