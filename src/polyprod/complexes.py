@@ -40,46 +40,54 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def submasks(mask: int):
-    """All submasks of ``mask``, descending, ending with 0."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
+def submasks(mask: int) -> tuple[int, ...]:
+    """All submasks of ``mask``, ascending, indexed by code.
+
+    Entry ``c`` is the submask picked out by the bits of the code ``c``:
+    bit ``i`` stands for the ``i``-th smallest vertex of ``mask``.  The
+    order is ascending because that relabelling is monotone.
+    """
+    ex = [0]
+    while mask:
+        low = mask & -mask
+        ex += [e | low for e in ex]
+        mask ^= low
+    return tuple(ex)
 
 
 def _as_mask(x) -> int:
     return x if isinstance(x, int) else mask_of(x)
 
 
-# Expand tables of omegas of at most EXPAND_CACHED_VERTICES vertices are
-# cached, EXPAND_CACHE_SIZE of them; the benchmark workloads, whose grounds
-# have at most 9 vertices, walk fewer distinct omegas than that
+# Submask tables of grounds and omegas of at most EXPAND_CACHED_VERTICES
+# vertices are cached, EXPAND_CACHE_SIZE of them; no benchmark workload
+# walks that many distinct ones (README lists what a round fills).  Facet
+# closures call submasks uncached: facets rarely repeat, and caching them
+# raised the peak memory of a homology-large round by 27 %
 EXPAND_CACHE_SIZE = 1024
 EXPAND_CACHED_VERTICES = 12
 
-
-def _build_expand(omega: int) -> tuple[int, ...]:
-    ex = [0]
-    while omega:
-        low = omega & -omega
-        ex += [e | low for e in ex]
-        omega ^= low
-    return tuple(ex)
-
-
-_cached_expand = lru_cache(maxsize=EXPAND_CACHE_SIZE)(_build_expand)
+_cached_expand = lru_cache(maxsize=EXPAND_CACHE_SIZE)(submasks)
 
 
 def _expand(omega: int) -> tuple[int, ...]:
-    # ex[c] is the submask of omega picked out by the bits of the code c (bit
-    # i stands for the i-th smallest vertex of omega); ascending in c, since
-    # the relabelling is monotone
+    # submasks(omega), kept when omega is small enough
     if omega.bit_count() <= EXPAND_CACHED_VERTICES:
         return _cached_expand(omega)
-    return _build_expand(omega)
+    return submasks(omega)
+
+
+def _move_faces(faces, bit_map: dict[int, int]) -> list[int]:
+    # each face with every bit b replaced by bit_map[b]
+    out = []
+    for f in faces:
+        g = 0
+        while f:
+            low = f & -f
+            g |= bit_map[low]
+            f ^= low
+        out.append(g)
+    return out
 
 
 def _link_support(faces, sigma: int, within: int) -> int:
@@ -132,13 +140,13 @@ class SimplicialComplex:
     def full_simplex(cls, ground) -> "SimplicialComplex":
         """The full simplex: every subset of ``ground`` is a face."""
         g = _as_mask(ground)
-        return cls(g, frozenset(submasks(g)))
+        return cls(g, frozenset(_expand(g)))
 
     @classmethod
     def boundary_simplex(cls, ground) -> "SimplicialComplex":
         """Proper subsets of ``ground``.  On an empty ground this is void."""
         g = _as_mask(ground)
-        return cls(g, frozenset(s for s in submasks(g) if s != g))
+        return cls(g, frozenset(_expand(g)[:-1]))
 
     @classmethod
     def from_facets(cls, ground, facets) -> "SimplicialComplex":
@@ -266,9 +274,10 @@ class SimplicialComplex:
         if supp & ~s_amb:
             bad = vertices_of(supp & ~s_amb)[0]
             raise ValueError(f"support vertex {bad} is outside the ambient set")
+        faces = self.faces
         return SimplicialComplex(
             s_amb,
-            frozenset(s_amb ^ s for s in submasks(s_amb) if s not in self.faces),
+            frozenset([s_amb ^ s for s in _expand(s_amb) if s not in faces]),
         )
 
     # -- lattice operations on one ground ------------------------------------
@@ -290,18 +299,8 @@ class SimplicialComplex:
         if len(set(images)) != len(images):
             raise ValueError("relabeling map is not injective on the ground set")
         shift = {1 << (v - 1): 1 << (mapping[v] - 1) for v in verts}
-
-        def move(f: int) -> int:
-            g = 0
-            while f:
-                low = f & -f
-                g |= shift[low]
-                f ^= low
-            return g
-
-        return SimplicialComplex(
-            move(self.ground), frozenset(move(f) for f in self.faces)
-        )
+        ground, *faces = _move_faces((self.ground, *self.faces), shift)
+        return SimplicialComplex(ground, frozenset(faces))
 
 
 def make_complex(ground, facets) -> SimplicialComplex:
@@ -424,7 +423,7 @@ def enumerate_complexes(ground):
     n = g.bit_count()
     if n > 4:
         raise ValueError("exhaustive enumeration is limited to 4 vertices")
-    nonempty = sorted(s for s in submasks(g) if s)
+    nonempty = _expand(g)[1:]
     yield SimplicialComplex.void(g)
     for code in range(1 << len(nonempty)):
         fam = {0}
@@ -460,15 +459,11 @@ def random_complex(rng, ground) -> SimplicialComplex:
         return SimplicialComplex.void(g)
     if r < 0.10:
         return SimplicialComplex.empty_face_complex(g)
-    positions = [1 << (v - 1) for v in vertices_of(g)]
+    table = _expand(g)
     count = rng.randint(0, 1 << n)
     closed: set[int] = set()
     for _ in range(count):
-        bits = rng.getrandbits(n)
-        f = 0
-        for i, p in enumerate(positions):
-            if bits >> i & 1:
-                f |= p
+        f = table[rng.getrandbits(n)]
         if f not in closed:
             closed.update(submasks(f))
     return SimplicialComplex(g, frozenset(closed))

@@ -23,7 +23,13 @@ from functools import lru_cache
 from heapq import heappop, heappush
 
 from .abelian import FgAbelianGroup, GradedGroup
-from .complexes import SimplicialComplex, _as_mask, submasks, vertices_of
+from .complexes import (
+    SimplicialComplex,
+    _as_mask,
+    _move_faces,
+    submasks,
+    vertices_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +349,7 @@ def _canonical_faces(faces) -> tuple[int, ...]:
         return tuple(sorted(faces))
     table = {1 << (v - 1): 1 << i
              for i, v in enumerate(vertices_of(support))}
-    out = []
-    for f in faces:
-        g = 0
-        x = f
-        while x:
-            low = x & -x
-            g |= table[low]
-            x ^= low
-        out.append(g)
-    return tuple(sorted(out))
+    return tuple(sorted(_move_faces(faces, table)))
 
 
 # Bounds of the two homology caches: a round of the busiest benchmark

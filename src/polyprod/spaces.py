@@ -174,6 +174,11 @@ class SpherePairSystem:
 
     def __post_init__(self):
         for r, q in self.params:
+            # bool is an int subclass, and a float passes the range check
+            if type(r) is not int or type(q) is not int:
+                raise ValueError(
+                    f"sphere parameters must be integers, got ({r!r}, {q!r})"
+                )
             if not (0 <= q <= r):
                 raise ValueError(
                     f"sphere parameters need 0 <= q <= r, got (r, q) = ({r}, {q})"
@@ -181,7 +186,7 @@ class SpherePairSystem:
 
     @classmethod
     def of(cls, *params) -> "SpherePairSystem":
-        return cls(tuple((int(r), int(q)) for r, q in params))
+        return cls(tuple((r, q) for r, q in params))
 
     @property
     def total_degree(self) -> int:
@@ -251,7 +256,8 @@ def _ledger(K: SimplicialComplex, kverts, system: SpherePairSystem,
         t = system.shift_of(kverts, sigma, 0)
         hat[t] = hat[t].direct_sum(z1) if t in hat else z1
         ledger.append(LedgerEntry("hat", sigma, None, t, 0, z1, t))
-    for sigma in submasks(K.ground):
+    # descending, the order in which moment-angle prints the hat_rel entries
+    for sigma in reversed(submasks(K.ground)):
         if sigma not in K.faces:
             t = system.shift_of(kverts, sigma, 0)
             ledger.append(LedgerEntry("hat_rel", sigma, None, t, 0, z1, t))

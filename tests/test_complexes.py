@@ -1,9 +1,11 @@
 """Face-level operations: constructors, link/restrict/slice, duals, products."""
 
+import itertools
 import random
 
 import pytest
 
+from polyprod import complexes
 from polyprod import (
     SimplicialComplex,
     composition_complex,
@@ -41,10 +43,21 @@ class TestMasks:
         with pytest.raises(ValueError):
             mask_of(["a"])
 
-    def test_submasks_descending_and_complete(self):
-        out = list(submasks(0b101))
-        assert out == [0b101, 0b100, 0b001, 0b000]
-        assert list(submasks(0)) == [0]
+    def test_submasks_ascending_code_indexed_and_complete(self):
+        # gapped grounds of 0-13 vertices: both sides of the 12-vertex rule
+        # that decides whether complexes._expand keeps a table
+        for n in range(14):
+            verts = [3 * i + 1 + i % 2 for i in range(n)]
+            m = mask_of(verts)
+            out = submasks(m)
+            want = sorted(mask_of(c) for k in range(n + 1)
+                          for c in itertools.combinations(verts, k))
+            assert isinstance(out, tuple)
+            assert list(out) == want
+            assert len(set(out)) == len(out) == 1 << n
+            for c in range(1 << n):
+                assert out[c] == mask_of(v for i, v in enumerate(verts) if c >> i & 1)
+            assert complexes._expand(m) == out
 
 
 class TestConstructors:
@@ -346,6 +359,34 @@ class TestGhostFactorization:
             ghost_factorization(K, pairs)
 
 
+def _random_complex_per_bit(rng, ground):
+    # random_complex with each facet assembled bit by bit from its draw and
+    # closed by the descending submask loop; the same rng calls in order
+    g = mask_of(ground)
+    n = g.bit_count()
+    r = rng.random()
+    if r < 0.05:
+        return SimplicialComplex.void(g)
+    if r < 0.10:
+        return SimplicialComplex.empty_face_complex(g)
+    positions = [1 << (v - 1) for v in vertices_of(g)]
+    count = rng.randint(0, 1 << n)
+    closed = set()
+    for _ in range(count):
+        bits = rng.getrandbits(n)
+        f = 0
+        for i, p in enumerate(positions):
+            if bits >> i & 1:
+                f |= p
+        s = f
+        while True:
+            closed.add(s)
+            if s == 0:
+                break
+            s = (s - 1) & f
+    return SimplicialComplex(g, frozenset(closed))
+
+
 class TestEnumerationAndRandom:
     def test_census_counts(self):
         for n, expect in enumerate((2, 3, 6, 20, 168)):
@@ -379,6 +420,15 @@ class TestEnumerationAndRandom:
             else:
                 kinds.add("proper")
         assert kinds == {"void", "empty-face", "proper"}
+
+    def test_random_complex_matches_the_per_bit_construction(self):
+        # gapped grounds, which the golden record rarely draws
+        for ground in ([2, 5, 7, 9], [3]):
+            for seed in range(50):
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                got = random_complex(rng, ground)
+                assert got == _random_complex_per_bit(oracle_rng, ground), (ground, seed)
+                assert rng.getstate() == oracle_rng.getstate()
 
     def test_random_subcomplex_nests(self):
         rng = random.Random(3)

@@ -10,7 +10,6 @@ from polyprod.complexes import (
     SimplicialComplex,
     mask_of,
     random_complex,
-    submasks,
     vertices_of,
 )
 from polyprod.hochster import (
@@ -285,17 +284,21 @@ def _shuffle_sign(eta, rest):
 
 
 def _witness_by_definition(K, sigma, omega):
-    # every subset of omega, largest first, then sorted into place
+    # every subset of omega, largest first, then sorted into place; walked
+    # here rather than through complexes.submasks, which the witness uses
     slice_faces = _slice_by_face_scan(K, sigma, omega)
     taking, profile = {}, {}
-    for eta in submasks(omega):
-        if eta in slice_faces:
-            continue
-        k = bin(eta).count("1")
-        rest = omega ^ eta
-        taking.setdefault(k - 1, {})[eta] = (rest, _shuffle_sign(eta, rest))
-        if eta != omega:
-            profile[k] = -1 if k % 2 else 1
+    eta = omega
+    while True:
+        if eta not in slice_faces:
+            k = bin(eta).count("1")
+            rest = omega ^ eta
+            taking.setdefault(k - 1, {})[eta] = (rest, _shuffle_sign(eta, rest))
+            if eta != omega:
+                profile[k] = -1 if k % 2 else 1
+        if eta == 0:
+            break
+        eta = (eta - 1) & omega
     return DualityWitness(
         sigma=sigma,
         omega=omega,

@@ -168,6 +168,18 @@ class TestSpherePairSystem:
         with pytest.raises(ValueError, match="0 <= q <= r"):
             SpherePairSystem.of((0, -1))
 
+    def test_parameters_must_be_integers(self):
+        cases = [((1.5, 0.5), r"\(1\.5, 0\.5\)"),
+                 (("2", "1"), r"\('2', '1'\)"),
+                 ((1, True), r"\(1, True\)")]
+        for bad, shown in cases:
+            with pytest.raises(ValueError, match="must be integers, got " + shown):
+                SpherePairSystem((bad,))
+            with pytest.raises(ValueError, match="must be integers, got " + shown):
+                SpherePairSystem.of((1, 0), bad)
+        with pytest.raises(ValueError, match=r"must be integers, got \(1\.9, 0\.5\)"):
+            SpherePairSystem.of((1.9, 0.5))
+
     def test_total_degree(self):
         assert SpherePairSystem.of((1, 0), (2, 1)).total_degree == 5
 
