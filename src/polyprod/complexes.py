@@ -24,20 +24,42 @@ def mask_of(vertices) -> int:
     """Bitmask of an iterable of positive integer labels."""
     m = 0
     for v in vertices:
-        if not isinstance(v, int) or v < 1:
+        # bool is an int subclass, and True would pass as the label 1
+        if type(v) is not int or v < 1:
             raise ValueError(f"vertex labels must be positive integers, got {v!r}")
         m |= 1 << (v - 1)
     return m
 
 
-def vertices_of(mask: int) -> tuple[int, ...]:
-    """Sorted tuple of labels in a bitmask (one step per set bit)."""
+def _bits_of(mask: int) -> list[int]:
+    # the single-bit masks of ``mask``, ascending (one step per set bit)
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length())
+        out.append(low)
         mask ^= low
-    return tuple(out)
+    return out
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """Sorted tuple of labels in a bitmask (one step per set bit)."""
+    return tuple([b.bit_length() for b in _bits_of(mask)])
+
+
+def _positions(ground: int, items, what: str) -> list[int]:
+    # the bits of the ground vertices owning ``items``: items[i] belongs to
+    # the i-th smallest vertex of ``ground``
+    bits = _bits_of(ground)
+    if len(items) != len(bits):
+        raise ValueError(f"expected {len(bits)} {what}, got {len(items)}")
+    return bits
+
+
+def _require_in_ground(ground: int, mask: int, what: str) -> None:
+    outside = mask & ~ground
+    if outside:
+        bad = (outside & -outside).bit_length()
+        raise ValueError(f"{what} vertex {bad} is not in the ground set")
 
 
 def submasks(mask: int) -> tuple[int, ...]:
@@ -48,10 +70,8 @@ def submasks(mask: int) -> tuple[int, ...]:
     order is ascending because that relabelling is monotone.
     """
     ex = [0]
-    while mask:
-        low = mask & -mask
-        ex += [e | low for e in ex]
-        mask ^= low
+    for b in _bits_of(mask):
+        ex += [e | b for e in ex]
     return tuple(ex)
 
 
@@ -94,11 +114,9 @@ def _link_support(faces, sigma: int, within: int) -> int:
     # the vertices v of ``within`` with sigma + v a face: every face of the
     # slice at (sigma, omega) lies in omega cut down to them
     support = 0
-    while within:
-        low = within & -within
-        if sigma | low in faces:
-            support |= low
-        within ^= low
+    for b in _bits_of(within):
+        if sigma | b in faces:
+            support |= b
     return support
 
 
@@ -159,9 +177,7 @@ class SimplicialComplex:
         closed = set()
         for facet in facets:
             f = _as_mask(facet)
-            if f & ~g:
-                bad = vertices_of(f & ~g)[0]
-                raise ValueError(f"facet vertex {bad} is not in the ground set")
+            _require_in_ground(g, f, "facet")
             if f not in closed:
                 closed.update(submasks(f))
         return cls(g, frozenset(closed))
@@ -206,8 +222,8 @@ class SimplicialComplex:
         for f in self.faces:
             if f & ~self.ground:
                 raise ValueError(f"face {vertices_of(f)} leaves the ground set")
-            for v in vertices_of(f):
-                if f & ~(1 << (v - 1)) not in self.faces:
+            for b in _bits_of(f):
+                if f ^ b not in self.faces:
                     raise ValueError(
                         f"face family is not downward closed at {vertices_of(f)}"
                     )
@@ -229,9 +245,7 @@ class SimplicialComplex:
         face the link is void; if it is a maximal face the link is ``{0}``.
         """
         s = _as_mask(sigma)
-        if s & ~self.ground:
-            bad = vertices_of(s & ~self.ground)[0]
-            raise ValueError(f"link vertex {bad} is not in the ground set")
+        _require_in_ground(self.ground, s, "link")
         return SimplicialComplex(
             self.ground & ~s,
             frozenset(f ^ s for f in self.faces if f & s == s),
@@ -240,9 +254,7 @@ class SimplicialComplex:
     def restrict(self, omega) -> "SimplicialComplex":
         """Full subcomplex on the vertex subset ``omega``."""
         w = _as_mask(omega)
-        if w & ~self.ground:
-            bad = vertices_of(w & ~self.ground)[0]
-            raise ValueError(f"restriction vertex {bad} is not in the ground set")
+        _require_in_ground(self.ground, w, "restriction")
         return SimplicialComplex(w, frozenset(f for f in self.faces if f & ~w == 0))
 
     def slice(self, sigma, omega) -> "SimplicialComplex":
@@ -254,9 +266,7 @@ class SimplicialComplex:
         s, w = _as_mask(sigma), _as_mask(omega)
         if s & w:
             raise ValueError("slice index sets must be disjoint")
-        if (s | w) & ~self.ground:
-            bad = vertices_of((s | w) & ~self.ground)[0]
-            raise ValueError(f"slice vertex {bad} is not in the ground set")
+        _require_in_ground(self.ground, s | w, "slice")
         return SimplicialComplex(w, frozenset(_slice_faces(self.faces, s, w)))
 
     def dual(self, relative_to) -> "SimplicialComplex":
@@ -294,11 +304,14 @@ class SimplicialComplex:
 
     def relabel(self, mapping: dict[int, int]) -> "SimplicialComplex":
         """Relabel vertices through an injective map given on the ground set."""
-        verts = vertices_of(self.ground)
-        images = [mapping[v] for v in verts]
-        if len(set(images)) != len(images):
+        shift = {}
+        for b in _bits_of(self.ground):
+            v = b.bit_length()
+            if v not in mapping:
+                raise ValueError(f"relabeling map misses ground vertex {v}")
+            shift[b] = mask_of((mapping[v],))
+        if len(set(shift.values())) != len(shift):
             raise ValueError("relabeling map is not injective on the ground set")
-        shift = {1 << (v - 1): 1 << (mapping[v] - 1) for v in verts}
         ground, *faces = _move_faces((self.ground, *self.faces), shift)
         return SimplicialComplex(ground, frozenset(faces))
 
@@ -355,23 +368,18 @@ def polyhedral_complex(K: SimplicialComplex, pairs) -> SimplicialComplex:
     The void K gives the void result on the union of the pair grounds.
     """
     pairs = list(pairs)
-    kverts = vertices_of(K.ground)
-    if len(pairs) != len(kverts):
-        raise ValueError(
-            f"expected {len(kverts)} pairs for the ground of K, got {len(pairs)}"
-        )
+    bits = _positions(K.ground, pairs, "pairs for the ground of K")
     ground = _check_pairs(pairs)
     out = set()
     face_lists = [sorted(x.faces) for x, _ in pairs]
     sub_sets = [a.faces for _, a in pairs]
-    kbits = [1 << (v - 1) for v in kverts]
     for combo in product(*face_lists):
         tau = 0
         f = 0
         for i, fk in enumerate(combo):
             f |= fk
             if fk not in sub_sets[i]:
-                tau |= kbits[i]
+                tau |= bits[i]
         if tau in K.faces:
             out.add(f)
     return SimplicialComplex(ground, frozenset(out))
@@ -394,18 +402,14 @@ def ghost_factorization(K: SimplicialComplex, pairs):
     face the core (hence the join) is void.
     """
     pairs = list(pairs)
-    kverts = vertices_of(K.ground)
-    if len(pairs) != len(kverts):
-        raise ValueError(
-            f"expected {len(kverts)} pairs for the ground of K, got {len(pairs)}"
-        )
+    bits = _positions(K.ground, pairs, "pairs for the ground of K")
     _check_pairs(pairs)
     s_mask = 0
     core_pairs = []
     cone_factors = []
-    for v, (x, a) in zip(kverts, pairs):
+    for b, (x, a) in zip(bits, pairs):
         if a.is_void:
-            s_mask |= 1 << (v - 1)
+            s_mask |= b
             cone_factors.append(x)
         else:
             core_pairs.append((x, a))

@@ -19,8 +19,11 @@ from .abelian import GradedGroup, tensor_additive
 from .complexes import (
     SimplicialComplex,
     _as_mask,
+    _bits_of,
     _expand,
     _link_support,
+    _positions,
+    _require_in_ground,
     composition_complex,
     vertices_of,
 )
@@ -39,8 +42,7 @@ def index_pairs(ground) -> list[tuple[int, int]]:
     a vertex in sigma, digit 2 in omega.
     """
     pairs = [(0, 0)]
-    for v in reversed(vertices_of(_as_mask(ground))):
-        b = 1 << (v - 1)
+    for b in reversed(_bits_of(_as_mask(ground))):
         pairs = [(s | x, w | y) for s, w in pairs
                  for x, y in ((0, 0), (b, 0), (0, b))]
     return pairs
@@ -96,9 +98,7 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
         for s, w in pair_list:
             if s & w:
                 raise ValueError("table pairs must have disjoint sides")
-            if (s | w) & ~K.ground:
-                bad = vertices_of((s | w) & ~K.ground)[0]
-                raise ValueError(f"pair vertex {bad} is not in the ground set")
+            _require_in_ground(K.ground, s | w, "pair")
     faces = K.faces
     empty = GradedGroup()
     # per face sigma: its link support and the entries computed so far, by
@@ -377,11 +377,7 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
     factors = list(factors)
     if any(L.is_void for L in factors):
         raise ValueError("composition factors must be nonvoid for the piece formula")
-    kverts = vertices_of(K.ground)
-    if len(factors) != len(kverts):
-        raise ValueError(
-            f"expected {len(kverts)} factors for the ground of K, got {len(factors)}"
-        )
+    bits = _positions(K.ground, factors, "factors for the ground of K")
     comp = composition_complex(K, factors)
     table_s = hochster_table(comp, coeff)
     table_k = hochster_table(K, coeff)
@@ -397,7 +393,6 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
                         "slice homology; use field coefficients"
                     )
     blocks = [L.ground for L in factors]
-    kbits = [1 << (v - 1) for v in kverts]
     verdicts = []
     for (sigma, omega), lhs in table_s.items():
         sig_parts = _block_split(sigma, blocks)
@@ -407,10 +402,10 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
         tensor_parts = []
         for i, L in enumerate(factors):
             if om_parts[i]:
-                omega_hat |= kbits[i]
+                omega_hat |= bits[i]
                 tensor_parts.append(tables_l[i].entry(sig_parts[i], om_parts[i]))
             elif sig_parts[i] not in L.faces:
-                sigma_hat |= kbits[i]
+                sigma_hat |= bits[i]
         rhs = tensor_additive(
             [table_k.entry(sigma_hat, omega_hat)] + tensor_parts
         )

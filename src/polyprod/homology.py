@@ -26,6 +26,7 @@ from .abelian import FgAbelianGroup, GradedGroup
 from .complexes import (
     SimplicialComplex,
     _as_mask,
+    _bits_of,
     _move_faces,
     submasks,
     vertices_of,
@@ -289,8 +290,8 @@ def _chain_complex(faces, quotient=frozenset()) -> AugmentedChainComplex:
         cols = []
         for f in basis:
             col = []
-            for pos, v in enumerate(vertices_of(f)):
-                sub = f ^ (1 << (v - 1))
+            for pos, b in enumerate(_bits_of(f)):
+                sub = f ^ b
                 if sub not in quotient:
                     col.append((below[sub], -1 if pos & 1 else 1))
             cols.append(col)
@@ -347,8 +348,7 @@ def _canonical_faces(faces) -> tuple[int, ...]:
         support |= f
     if support == 0:
         return tuple(sorted(faces))
-    table = {1 << (v - 1): 1 << i
-             for i, v in enumerate(vertices_of(support))}
+    table = {b: 1 << i for i, b in enumerate(_bits_of(support))}
     return tuple(sorted(_move_faces(faces, table)))
 
 

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .abelian import FgAbelianGroup, GradedGroup
-from .complexes import SimplicialComplex, _as_mask, submasks, vertices_of
+from .complexes import (
+    SimplicialComplex,
+    _bits_of,
+    _positions,
+    polyhedral_complex,
+    submasks,
+    vertices_of,
+)
 from .hochster import hochster_table, slice_duality_mismatches
-
-
-def _require_count(expected: int, got: int, what: str) -> None:
-    if got != expected:
-        raise ValueError(f"expected {expected} {what}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -57,14 +59,12 @@ def finite_product(K: SimplicialComplex, pairs) -> frozenset:
     everything it touches.
     """
     pairs = list(pairs)
-    kverts = vertices_of(K.ground)
-    _require_count(len(kverts), len(pairs), "pairs for the ground of K")
+    bits = _positions(K.ground, pairs, "pairs for the ground of K")
     out = set()
-    kbits = [1 << (v - 1) for v in kverts]
     for tau in K.faces:
         sets = [
             sorted(p.points) if tau & b else sorted(p.sub)
-            for p, b in zip(pairs, kbits)
+            for p, b in zip(pairs, bits)
         ]
         out.update(product(*sets))
     return frozenset(out)
@@ -105,16 +105,15 @@ def substitution_identity_check(K: SimplicialComplex, inner, leaf_pairs) -> Verd
     the finite products of the inner pairs into K must match the finite
     product of the polyhedral complex of K over the leaves directly.
     """
-    from .complexes import polyhedral_complex
-
     inner = list(inner)
-    blocks = [x.ground for x, _ in inner]
-    allverts = sorted(v for b in blocks for v in vertices_of(b))
-    _require_count(len(allverts), len(leaf_pairs), "leaf pairs")
-    leaf_of = dict(zip(allverts, leaf_pairs))
+    leaf_pairs = list(leaf_pairs)
+    composed = polyhedral_complex(K, inner)
+    leaf_of = dict(zip(
+        _positions(composed.ground, leaf_pairs, "leaf pairs"), leaf_pairs
+    ))
     outer_pairs = []
     for x, a in inner:
-        leaves = [leaf_of[v] for v in vertices_of(x.ground)]
+        leaves = [leaf_of[b] for b in _bits_of(x.ground)]
         outer_pairs.append(
             FiniteSpacePair(
                 frozenset(finite_product(x, leaves)),
@@ -125,8 +124,7 @@ def substitution_identity_check(K: SimplicialComplex, inner, leaf_pairs) -> Verd
     lhs = frozenset(
         tuple(c for part in tup for c in part) for tup in lhs_nested
     )
-    composed = polyhedral_complex(K, inner)
-    rhs = finite_product(composed, [leaf_of[v] for v in allverts])
+    rhs = finite_product(composed, leaf_pairs)
     return _set_verdict("substitution", lhs, rhs)
 
 
@@ -139,22 +137,18 @@ def factorization_identity_check(K: SimplicialComplex, pairs) -> Verdict:
     when S is not a face.
     """
     pairs = list(pairs)
-    kverts = vertices_of(K.ground)
-    _require_count(len(kverts), len(pairs), "pairs for the ground of K")
-    s_mask = 0
-    for v, p in zip(kverts, pairs):
-        if not p.sub:
-            s_mask |= 1 << (v - 1)
+    bits = _positions(K.ground, pairs, "pairs for the ground of K")
+    core_positions = [i for i, p in enumerate(pairs) if p.sub]
+    cone_positions = [i for i, p in enumerate(pairs) if not p.sub]
+    s_mask = sum(bits[i] for i in cone_positions)
     lhs = finite_product(K, pairs)
     link = K.link(s_mask)
-    core_positions = [i for i, v in enumerate(kverts) if not s_mask >> (v - 1) & 1]
-    cone_positions = [i for i, v in enumerate(kverts) if s_mask >> (v - 1) & 1]
     core = finite_product(link, [pairs[i] for i in core_positions])
     cones = [sorted(pairs[i].points) for i in cone_positions]
     rhs = set()
     for core_tup in core:
         for cone_tup in product(*cones):
-            full = [None] * len(kverts)
+            full = [None] * len(pairs)
             for i, c in zip(core_positions, core_tup):
                 full[i] = c
             for i, c in zip(cone_positions, cone_tup):
@@ -195,14 +189,14 @@ class SpherePairSystem:
     def complement(self) -> "SpherePairSystem":
         return SpherePairSystem(tuple((r, r - q) for r, q in self.params))
 
-    def shift_of(self, kverts, sigma: int, omega: int) -> int:
+    def shift_of(self, bits, sigma: int, omega: int) -> int:
+        # bits[i] is the ground bit of the position carrying params[i]
         t = 0
-        for i, v in enumerate(kverts):
-            b = 1 << (v - 1)
+        for (r, q), b in zip(self.params, bits):
             if sigma & b:
-                t += self.params[i][0] + 1
+                t += r + 1
             elif omega & b:
-                t += self.params[i][1]
+                t += q
         return t
 
 
@@ -241,31 +235,30 @@ def sphere_pair_homology(K: SimplicialComplex,
     the classes of the pair (ambient product, space) attached to non-faces;
     they participate in duality checks but not in the totals.
     """
-    kverts = vertices_of(K.ground)
-    _require_count(len(kverts), len(system.params), "sphere pairs")
-    return _ledger(K, kverts, system, hochster_table(K))
+    bits = _positions(K.ground, system.params, "sphere pairs")
+    return _ledger(K, bits, system, hochster_table(K))
 
 
-def _ledger(K: SimplicialComplex, kverts, system: SpherePairSystem,
+def _ledger(K: SimplicialComplex, bits, system: SpherePairSystem,
             table) -> SpaceHomologyReport:
     # the report of sphere_pair_homology, from a slice table already built
     z1 = FgAbelianGroup(1)
     ledger = []
     hat: dict[int, FgAbelianGroup] = {}
     for sigma in sorted(K.faces):
-        t = system.shift_of(kverts, sigma, 0)
+        t = system.shift_of(bits, sigma, 0)
         hat[t] = hat[t].direct_sum(z1) if t in hat else z1
         ledger.append(LedgerEntry("hat", sigma, None, t, 0, z1, t))
     # descending, the order in which moment-angle prints the hat_rel entries
     for sigma in reversed(submasks(K.ground)):
         if sigma not in K.faces:
-            t = system.shift_of(kverts, sigma, 0)
+            t = system.shift_of(bits, sigma, 0)
             ledger.append(LedgerEntry("hat_rel", sigma, None, t, 0, z1, t))
     bar: dict[int, FgAbelianGroup] = {}
     for (sigma, omega), g in table.items():
         if not omega or g.is_zero:
             continue
-        t = system.shift_of(kverts, sigma, omega)
+        t = system.shift_of(bits, sigma, omega)
         for d, grp in g.groups:
             tot = d + t
             bar[tot] = bar[tot].direct_sum(grp) if tot in bar else grp
@@ -300,15 +293,14 @@ def sphere_pair_duality_check(K: SimplicialComplex,
     checked per call.  ``TestLedgerDegreeIdentities`` in
     ``tests/test_spaces.py`` pins both.
     """
-    kverts = vertices_of(K.ground)
-    _require_count(len(kverts), len(system.params), "sphere pairs")
+    bits = _positions(K.ground, system.params, "sphere pairs")
     r = system.total_degree
     dual = K.dual(K.ground)
     co_system = system.complement()
     table = hochster_table(K)
     co_table = hochster_table(dual, cohomology=True)
-    report = _ledger(K, kverts, system, table)
-    co_report = _ledger(dual, kverts, co_system, co_table)
+    report = _ledger(K, bits, system, table)
+    co_report = _ledger(dual, bits, co_system, co_table)
 
     for sigma, omega, mismatch in slice_duality_mismatches(table, co_table):
         if mismatch is not None:

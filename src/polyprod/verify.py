@@ -21,6 +21,7 @@ from functools import cache
 from .abelian import FgAbelianGroup, GradedGroup
 from .complexes import (
     SimplicialComplex,
+    _bits_of,
     composition_complex,
     consecutive_blocks,
     embed_on_blocks,
@@ -191,8 +192,8 @@ def minimize_complex(K: SimplicialComplex, still_fails,
     while changed:
         changed = False
         if drop_vertices:
-            for v in vertices_of(K.ground):
-                smaller = K.restrict(K.ground & ~(1 << (v - 1)))
+            for b in _bits_of(K.ground):
+                smaller = K.restrict(K.ground & ~b)
                 if still_fails(smaller):
                     K = smaller
                     changed = True
@@ -211,12 +212,12 @@ def minimize_complex(K: SimplicialComplex, still_fails,
 def _random_pair_split(rng, ground: int):
     """Random disjoint (sigma, omega) inside a ground mask."""
     sigma = omega = 0
-    for v in vertices_of(ground):
+    for b in _bits_of(ground):
         digit = rng.randrange(3)
         if digit == 1:
-            sigma |= 1 << (v - 1)
+            sigma |= b
         elif digit == 2:
-            omega |= 1 << (v - 1)
+            omega |= b
     return sigma, omega
 
 
@@ -322,8 +323,7 @@ def _check_slice_dual(rng, i: int, max_vertices: int):
     K = random_complex(rng, range(1, n + 1))
     sigma, omega = _random_pair_split(rng, K.ground)
     if omega == 0:
-        v = rng.randrange(n)
-        omega = 1 << v
+        omega = _bits_of(K.ground)[rng.randrange(n)]
         sigma &= ~omega
     err = _slice_dual_failure(K, sigma, omega)
     if err is None:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -42,6 +43,26 @@ class TestMasks:
             mask_of([-2])
         with pytest.raises(ValueError):
             mask_of(["a"])
+
+    def test_bool_labels_are_rejected(self):
+        msg = re.escape("vertex labels must be positive integers, got True")
+        with pytest.raises(ValueError, match=msg):
+            mask_of([True])
+        with pytest.raises(ValueError, match=msg):
+            make_complex([1, 2], [[True, 2]])
+
+    @pytest.mark.parametrize("labels", [[], [2, 5, 9, 11], [1, 3, 64, 65, 200], [70]])
+    def test_bits_of_walks_single_vertex_masks(self, labels):
+        m = mask_of(labels)
+        assert complexes._bits_of(m) == [mask_of((v,)) for v in vertices_of(m)]
+
+    def test_positions_own_items_in_vertex_order(self):
+        g = mask_of([2, 5, 9])
+        assert complexes._positions(g, "abc", "things") == [
+            mask_of([2]), mask_of([5]), mask_of([9])
+        ]
+        with pytest.raises(ValueError, match="^expected 3 things, got 2$"):
+            complexes._positions(g, "ab", "things")
 
     def test_submasks_ascending_code_indexed_and_complete(self):
         # gapped grounds of 0-13 vertices: both sides of the 12-vertex rule
@@ -450,6 +471,18 @@ class TestRelabelAndBlocks:
         K = make_complex([1, 2], [[1, 2]])
         with pytest.raises(ValueError, match="injective"):
             K.relabel({1: 3, 2: 3})
+
+    def test_relabel_names_a_missing_vertex(self):
+        K = make_complex([1, 2], [[1, 2]])
+        with pytest.raises(ValueError, match="^relabeling map misses ground vertex 2$"):
+            K.relabel({1: 3})
+
+    @pytest.mark.parametrize("image", [0, 2.0, True])
+    def test_relabel_rejects_images_that_are_not_labels(self, image):
+        K = make_complex([1, 2], [[1, 2]])
+        msg = f"vertex labels must be positive integers, got {image!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            K.relabel({1: image, 2: 3})
 
     def test_consecutive_blocks(self):
         assert consecutive_blocks([2, 1, 3]) == [

@@ -190,11 +190,11 @@ class TestSpherePairSystem:
 
     def test_shift_accounting(self):
         s = SpherePairSystem.of((1, 0), (2, 1))
-        kverts = (1, 2)
-        assert s.shift_of(kverts, mask_of([1]), mask_of([2])) == 2 + 1
-        assert s.shift_of(kverts, 0, mask_of([1, 2])) == 0 + 1
-        assert s.shift_of(kverts, mask_of([1, 2]), 0) == 2 + 3
-        assert s.shift_of(kverts, 0, 0) == 0
+        bits = [mask_of([1]), mask_of([2])]
+        assert s.shift_of(bits, mask_of([1]), mask_of([2])) == 2 + 1
+        assert s.shift_of(bits, 0, mask_of([1, 2])) == 0 + 1
+        assert s.shift_of(bits, mask_of([1, 2]), 0) == 2 + 3
+        assert s.shift_of(bits, 0, 0) == 0
 
 
 class TestSpherePairHomology:
