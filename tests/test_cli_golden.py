@@ -49,6 +49,11 @@ DOCUMENTS = {
 # argv per run; a word ending in .doc names one of DOCUMENTS
 RUNS = [
     *(
+        ["homology", doc, *flags]
+        for doc in ("rp2.doc", "cone-rp2.doc", "gapped.doc")
+        for flags in ([], ["--coeff", "p:2"], ["--coeff", "q"], ["--cohomology"])
+    ),
+    *(
         ["hochster", doc, *flags]
         for doc in ("rp2.doc", "cone-rp2.doc", "gapped.doc")
         for flags in ([], ["--coeff", "p:2"], ["--cohomology"])
