@@ -184,7 +184,8 @@ def _tensor_pair_additive(a: GradedGroup, b: GradedGroup) -> GradedGroup:
     for d2, g2 in b.groups:
         if g2.torsion:
             raise ValueError(
-                "graded tensor factors after the first must be torsion-free over Z"
+                "graded tensor factors after the first must be torsion-free "
+                "over Z; use field coefficients"
             )
     for d1, g1 in a.groups:
         for d2, g2 in b.groups:

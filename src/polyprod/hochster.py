@@ -27,12 +27,7 @@ from .complexes import (
     composition_complex,
     vertices_of,
 )
-from .homology import (
-    FieldCoeff,
-    _groups_from_key,
-    homology_of_faces,
-    reduced_homology,
-)
+from .homology import FieldCoeff, homology_of_faces, reduced_homology
 
 
 def index_pairs(ground) -> list[tuple[int, int]]:
@@ -87,9 +82,10 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
 
     The link support of each face sigma (the v with sigma + v a face) is
     computed once.  The slice at (sigma, omega) has the faces of the slice
-    at omega cut down to that support, so the two pairs share one entry,
-    and the homology cache key is read off directly: the codes of those
-    faces as subsets of the cut-down omega.
+    at omega cut down to that support, so the two pairs share one entry.
+    Its faces go to :func:`homology_of_faces` as their codes as subsets of
+    the cut-down omega: a family on vertices 1..k, already in the cache's
+    canonical form.
     """
     if pairs is None:
         pair_list = index_pairs(K.ground)
@@ -116,7 +112,7 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
             rows.append((pair, empty))
             continue
         # the slices at omega and at omega inside the link support have the
-        # same faces, whose codes in the latter are the homology cache key
+        # same faces; their codes in the latter cover every vertex of it
         support, computed = link
         w = omega & support
         g = computed.get(w)
@@ -124,7 +120,7 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
             key = tuple([c for c, e in enumerate(_expand(w)) if sigma | e in faces])
             g = shifted.get(key)
             if g is None:
-                g = shifted[key] = _groups_from_key(key, coeff, cohomology).shift(1)
+                g = shifted[key] = homology_of_faces(key, coeff, cohomology).shift(1)
             computed[w] = g
         rows.append((pair, g))
     return BigradedTable(K.ground, tuple(rows), cohomology)
@@ -370,9 +366,9 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
     omega part is empty) and omega-hat collects positions with nonempty
     omega part.  Internal degrees add.
 
-    Factors must be nonvoid.  Over the integers all table entries involved
-    must be torsion-free; otherwise a ValueError asks for field
-    coefficients.
+    Factors must be nonvoid.  Over the integers the factor entries must be
+    torsion-free; otherwise :func:`tensor_additive` raises a ValueError
+    asking for field coefficients.
     """
     factors = list(factors)
     if any(L.is_void for L in factors):
@@ -382,16 +378,6 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
     table_s = hochster_table(comp, coeff)
     table_k = hochster_table(K, coeff)
     tables_l = [hochster_table(L, coeff) for L in factors]
-    if coeff is None:
-        # torsion in K's own table is harmless (it sits leftmost in every
-        # tensor); the factor entries must be torsion-free
-        for t in tables_l:
-            for _, g in t.items():
-                if any(grp.torsion for _, grp in g.groups):
-                    raise ValueError(
-                        "piece formula over Z requires torsion-free factor "
-                        "slice homology; use field coefficients"
-                    )
     blocks = [L.ground for L in factors]
     verdicts = []
     for (sigma, omega), lhs in table_s.items():

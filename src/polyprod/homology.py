@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 
-from .abelian import FgAbelianGroup, GradedGroup
+from .abelian import FgAbelianGroup, GradedGroup, _factorint
 from .complexes import (
     SimplicialComplex,
     _as_mask,
@@ -35,17 +35,6 @@ from .complexes import (
 
 # ---------------------------------------------------------------------------
 # coefficients
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
 
 @dataclass(frozen=True)
 class FieldCoeff:
@@ -62,7 +51,7 @@ class FieldCoeff:
         # trial division up to the square root stays instant below the bound
         if self.p >= 2**31:
             raise ValueError(f"field characteristic must be below 2**31, got {self.p}")
-        if not _is_prime(self.p):
+        if _factorint(self.p) != {self.p: 1}:
             raise ValueError(f"field characteristic must be prime, got {self.p}")
 
 
@@ -343,10 +332,12 @@ def _graded_groups(counts, factors, coeff, cohomology) -> GradedGroup:
 # homology groups, cached on the abstract face family
 
 def _canonical_faces(faces) -> tuple[int, ...]:
+    # the faces moved onto vertices 1..k of their support, sorted; a family
+    # already on 1..k (slice tables pass such codes) keeps its masks
     support = 0
     for f in faces:
         support |= f
-    if support == 0:
+    if support & (support + 1) == 0:
         return tuple(sorted(faces))
     table = {b: 1 << i for i, b in enumerate(_bits_of(support))}
     return tuple(sorted(_move_faces(faces, table)))
