@@ -452,6 +452,8 @@ def _check_alexander(rng, i: int, max_vertices: int):
     small = minimize_complex(
         K, lambda c: c.ground != 0 and _duality_table_failure(c) is not None
     )
+    # report the failure of the complex printed below it
+    err = _duality_table_failure(small) or err
     return err + "\n" + _serialize(complex=small)
 
 

@@ -14,6 +14,8 @@ Regenerate the record only when a change is meant to alter suite output:
 from __future__ import annotations
 
 import contextlib
+import json
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -146,6 +148,26 @@ def test_faults_fail_every_suite_with_a_counterexample():
                 if i + 1 < len(lines) and lines[i + 1].startswith("  "):
                     failing.add(suite)
     assert failing == set(SUITES)
+
+
+def test_alexander_failures_name_vertices_of_the_printed_complex():
+    # the message is computed on the shrunk complex printed under it, so
+    # every vertex list it quotes lies in that complex's ground
+    checked = 0
+    for lines in _golden_sections().values():
+        suite = None
+        for i, line in enumerate(lines):
+            if line.startswith("## "):
+                suite = line.rsplit(" ", 1)[1]
+            elif suite == "alexander" and line.startswith("TRIAL") and line.endswith(" FAIL"):
+                j = lines.index("  complex:", i)
+                ground = set(json.loads(lines[j + 1].split(": ", 1)[1]))
+                named = {int(v) for text in lines[i + 1:j]
+                         for inner in re.findall(r"\[([^\]]*)\]", text)
+                         for v in re.findall(r"\d+", inner)}
+                assert named <= ground, (line, lines[i + 1:j], ground)
+                checked += 1
+    assert checked >= 20
 
 
 if __name__ == "__main__":
