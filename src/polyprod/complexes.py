@@ -304,6 +304,10 @@ class SimplicialComplex:
 
     def relabel(self, mapping: dict[int, int]) -> "SimplicialComplex":
         """Relabel vertices through an injective map given on the ground set."""
+        for key in mapping:
+            # True and 2.0 would pass a lookup as the vertices 1 and 2
+            if type(key) is not int:
+                raise ValueError(f"relabeling map keys must be integers, got {key!r}")
         shift = {}
         for b in _bits_of(self.ground):
             v = b.bit_length()

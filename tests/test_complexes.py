@@ -484,6 +484,13 @@ class TestRelabelAndBlocks:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             K.relabel({1: image, 2: 3})
 
+    @pytest.mark.parametrize("key", [True, 2.0])
+    def test_relabel_rejects_keys_that_are_not_ints(self, key):
+        K = make_complex([1, 2], [[1, 2]])
+        msg = f"relabeling map keys must be integers, got {key!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            K.relabel({key: 3, 2: 4})
+
     def test_consecutive_blocks(self):
         assert consecutive_blocks([2, 1, 3]) == [
             mask_of([1, 2]), mask_of([3]), mask_of([4, 5, 6])
