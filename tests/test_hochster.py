@@ -552,6 +552,37 @@ class TestCompositionHomology:
             composition_homology(tri(), _segment_blocks(3))
 
 
+class TestTableThroughHomologyOfFaces:
+    """The table reaches homology only through ``homology_of_faces``."""
+
+    @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("cohomology", [False, True],
+                             ids=["homology", "cohomology"])
+    def test_counting_wrapper_sees_every_key(self, monkeypatch, coeff, cohomology):
+        import polyprod.hochster as hoch
+        from polyprod.homology import _canonical_faces
+
+        corpus = [rp2_complex(), cone_over_rp2()]
+        before = [hochster_table(K, coeff, cohomology=cohomology).items()
+                  for K in corpus]
+        real = hoch.homology_of_faces
+        keys = []
+
+        def counting(faces, *args, **kwargs):
+            keys.append(faces)
+            return real(faces, *args, **kwargs)
+
+        # bound the way perfbench's tracer binds it
+        monkeypatch.setattr(hoch, "homology_of_faces", counting)
+        after = [hochster_table(K, coeff, cohomology=cohomology).items()
+                 for K in corpus]
+        assert keys
+        assert after == before
+        # each key is a family on vertices 1..k, its own canonical form
+        for key in keys:
+            assert _canonical_faces(key) == tuple(key)
+
+
 class TestHochsterCompositionFormula:
     def test_two_point_outer_with_two_point_factors(self):
         K = two_points()
@@ -583,6 +614,14 @@ class TestHochsterCompositionFormula:
         K = SimplicialComplex.empty_face_complex(mask_of([1]))
         with pytest.raises(ValueError, match="field coefficients"):
             hochster_composition_formula(K, [rp2_complex()])
+
+    def test_torsion_factor_under_a_void_outer_complex(self):
+        # no entry of the composition is nonzero, but each pair still
+        # tensors its factor entries, and the tensor rule refuses torsion
+        K = SimplicialComplex.void(mask_of([1]))
+        with pytest.raises(ValueError, match="field coefficients"):
+            hochster_composition_formula(K, [rp2_complex()])
+        assert hochster_composition_formula(K, [rp2_complex()], GF(2)).ok
 
     def test_torsion_factor_works_over_gf2(self):
         K = SimplicialComplex.empty_face_complex(mask_of([1]))

@@ -561,6 +561,70 @@ class TestFieldCoefficients:
             GF(p)
 
 
+    def test_accepts_exactly_the_primes(self):
+        # the trial division FieldCoeff had before it used abelian._factorint
+        def is_prime(n):
+            if n < 2:
+                return False
+            d = 2
+            while d * d <= n:
+                if n % d == 0:
+                    return False
+                d += 1
+            return True
+
+        for n in [*range(-3, 3001), *range(2**31 - 12, 2**31)]:
+            if is_prime(n):
+                assert GF(n).p == n
+            else:
+                with pytest.raises(ValueError, match=f"must be prime, got {n}$"):
+                    GF(n)
+
+
+def _relabel_by_hand(faces):
+    # move the support's vertices, in increasing order, onto bits 0..k-1
+    support = 0
+    for f in faces:
+        support |= f
+    old = [i for i in range(support.bit_length()) if support >> i & 1]
+    return tuple(sorted(
+        sum(1 << new for new, i in enumerate(old) if f >> i & 1) for f in faces
+    ))
+
+
+class TestCanonicalFaces:
+    """The homology cache key against a relabel written here."""
+
+    def _families(self):
+        rng = random.Random(11)
+        yield frozenset()
+        yield frozenset({0})
+        for ground in ([1], [1, 2, 3], range(1, 7), [2], [2, 5, 9, 11],
+                       [1, 2, 4], [3, 4, 5, 8, 13, 21]):
+            for _ in range(15):
+                yield random_complex(rng, ground).faces
+        # face families that are not complexes: the key only relabels
+        for _ in range(30):
+            yield frozenset(rng.randrange(1 << 10) for _ in range(rng.randint(1, 12)))
+
+    def test_matches_the_relabel(self):
+        for faces in self._families():
+            assert homology._canonical_faces(faces) == _relabel_by_hand(faces)
+
+    def test_a_family_on_vertices_one_to_k_keeps_its_masks(self):
+        rng = random.Random(12)
+        checked = 0
+        for n in range(7):
+            faces = random_complex(rng, range(1, n + 1)).faces
+            support = 0
+            for f in faces:
+                support |= f
+            if support == (1 << n) - 1:
+                assert homology._canonical_faces(faces) == tuple(sorted(faces))
+                checked += 1
+        assert checked >= 4
+
+
 class TestSplitCertificates:
     def test_field_always_splits(self):
         A = SimplicialComplex.boundary_simplex(range(1, 4))
