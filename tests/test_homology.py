@@ -560,7 +560,6 @@ class TestFieldCoefficients:
         with pytest.raises(ValueError, match="must be an integer, got"):
             GF(p)
 
-
     def test_accepts_exactly_the_primes(self):
         # the trial division FieldCoeff had before it used abelian._factorint
         def is_prime(n):
@@ -610,19 +609,6 @@ class TestCanonicalFaces:
     def test_matches_the_relabel(self):
         for faces in self._families():
             assert homology._canonical_faces(faces) == _relabel_by_hand(faces)
-
-    def test_a_family_on_vertices_one_to_k_keeps_its_masks(self):
-        rng = random.Random(12)
-        checked = 0
-        for n in range(7):
-            faces = random_complex(rng, range(1, n + 1)).faces
-            support = 0
-            for f in faces:
-                support |= f
-            if support == (1 << n) - 1:
-                assert homology._canonical_faces(faces) == tuple(sorted(faces))
-                checked += 1
-        assert checked >= 4
 
 
 class TestSplitCertificates:
