@@ -13,7 +13,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -49,28 +49,26 @@ class FgAbelianGroup:
     def from_divisors(cls, rank: int, divisors) -> "FgAbelianGroup":
         """Canonicalize an arbitrary list of cyclic orders.
 
-        Orders equal to 1 are dropped; the rest are merged prime by prime
-        into a divisibility chain.
+        Orders equal to 1 are dropped; each other order d goes into the
+        chain c1 | c2 | ... from the bottom, swapping each ci for gcd(ci, d)
+        and carrying lcm(ci, d) up (Z/a + Z/b is Z/gcd + Z/lcm), so no order
+        is factored.
 
         >>> FgAbelianGroup.from_divisors(0, [2, 2, 3]).torsion
         (2, 6)
         """
-        exps: dict[int, list[int]] = {}
+        chain: list[int] = []
         for d in divisors:
             if d < 1:
                 raise ValueError(f"cyclic orders must be positive, got {d}")
-            for p, e in _factorint(d).items():
-                exps.setdefault(p, []).append(e)
-        depth = max((len(v) for v in exps.values()), default=0)
-        chain = []
-        for i in range(depth):
-            f = 1
-            for p, es in exps.items():
-                es_sorted = sorted(es, reverse=True)
-                if i < len(es_sorted):
-                    f *= p ** es_sorted[i]
-            chain.append(f)
-        return cls(rank, tuple(reversed(chain)))
+            if d > 1:
+                for i, c in enumerate(chain):
+                    chain[i], d = gcd(c, d), lcm(c, d)
+                chain.append(d)
+                # only c1 can drop to 1: the old c1 divides the rest
+                if chain[0] == 1:
+                    del chain[0]
+        return cls(rank, tuple(chain))
 
     @property
     def is_zero(self) -> bool:

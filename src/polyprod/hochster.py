@@ -254,29 +254,26 @@ def slice_duality_mismatches(table: BigradedTable,
     """Entrywise Alexander duality between two slice tables.
 
     ``table`` is the homology table of K and ``dual_cohomology`` the
-    cohomology table of K's dual on the same ground.  For every pair of
-    ``table`` with nonempty omega, in table order, yields
-    ``(sigma, omega, mismatch)``: the entry at internal degree d must equal
-    the dual entry at the complementary pair in degree |omega| - d - 1, and
-    ``mismatch`` is ``(d, lhs, rhs)`` for the first degree where it does
-    not, or None when the pair agrees.
+    cohomology table of K's dual on the same ground.  The entry at a pair
+    with nonempty omega, internal degree d, must equal the dual entry at
+    the complementary pair in degree |omega| - d - 1.  Yields
+    ``(sigma, omega, (d, lhs, rhs))`` for each pair, in table order, where
+    that fails, with d the first failing degree; nothing for a pair that
+    agrees.
     """
     g = table.ground
+    index = dual_cohomology._index
     for (sigma, omega), lhs in table.items():
         if not omega:
             continue
-        rhs = dual_cohomology.entry(g & ~(sigma | omega), omega)
+        rhs = index[g & ~(sigma | omega), omega]
         wsize = omega.bit_count()
-        reindexed = tuple((wsize - e - 1, grp) for e, grp in reversed(rhs.groups))
-        if lhs.groups == reindexed:
-            yield sigma, omega, None
+        if lhs.groups == tuple((wsize - e - 1, grp) for e, grp in reversed(rhs.groups)):
             continue
-        mismatch = None
         for d in set(lhs.degrees()) | {wsize - e - 1 for e in rhs.degrees()}:
             if lhs.at(d) != rhs.at(wsize - d - 1):
-                mismatch = (d, lhs.at(d), rhs.at(wsize - d - 1))
+                yield sigma, omega, (d, lhs.at(d), rhs.at(wsize - d - 1))
                 break
-        yield sigma, omega, mismatch
 
 
 def duality_group_sides(K: SimplicialComplex, sigma, omega):
@@ -389,11 +386,9 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
         for i, L in enumerate(factors):
             if om_parts[i]:
                 omega_hat |= bits[i]
-                tensor_parts.append(tables_l[i].entry(sig_parts[i], om_parts[i]))
+                tensor_parts.append(tables_l[i]._index[sig_parts[i], om_parts[i]])
             elif sig_parts[i] not in L.faces:
                 sigma_hat |= bits[i]
-        rhs = tensor_additive(
-            [table_k.entry(sigma_hat, omega_hat)] + tensor_parts
-        )
+        rhs = tensor_additive([table_k._index[sigma_hat, omega_hat]] + tensor_parts)
         verdicts.append(PieceVerdict(sigma, omega, lhs, rhs))
     return PieceReport(tuple(verdicts))

@@ -302,14 +302,12 @@ def sphere_pair_duality_check(K: SimplicialComplex,
     report = _ledger(K, bits, system, table)
     co_report = _ledger(dual, bits, co_system, co_table)
 
-    for sigma, omega, mismatch in slice_duality_mismatches(table, co_table):
-        if mismatch is not None:
-            d, lhs, rhs = mismatch
-            return Verdict(
-                False,
-                f"bar entry mismatch at sigma={list(vertices_of(sigma))} "
-                f"omega={list(vertices_of(omega))} degree {d}: {lhs} vs {rhs}",
-            )
+    for sigma, omega, (d, lhs, rhs) in slice_duality_mismatches(table, co_table):
+        return Verdict(
+            False,
+            f"bar entry mismatch at sigma={list(vertices_of(sigma))} "
+            f"omega={list(vertices_of(omega))} degree {d}: {lhs} vs {rhs}",
+        )
     for d in set(report.bar.degrees()) | {
         r - d - 1 for d in co_report.bar.degrees()
     }:

@@ -244,6 +244,9 @@ def _dual_failure(K: SimplicialComplex):
         return "face counts of a complex and its dual do not sum to 2^n"
     if d.dual(g) != K:
         return "dual applied twice does not return the original"
+    # the two checks above pass for the non-faces of K left uncomplemented
+    if not K.faces.isdisjoint(g ^ f for f in d.faces):
+        return "a face of the dual complements a face of the complex"
     return None
 
 
@@ -413,21 +416,24 @@ def _check_compose_dual(rng, i: int, max_vertices: int):
 # suite: alexander (slice homology of K against dual slice cohomology)
 
 def _duality_table_failure(K: SimplicialComplex):
-    """Compare every nonempty-omega entry of K's table with the dual table."""
+    """Compare every nonempty-omega entry of K's table with the dual table.
+
+    The witness at (sigma, omega) checks F not in K exactly when ground - F
+    is a dual face, for sigma <= F <= sigma + omega; one at (empty, ground)
+    covers every pair.
+    """
     dual = K.dual(K.ground)
     table = hochster_table(K)
     co_dual = hochster_table(dual, cohomology=True)
-    for sigma, omega, mismatch in slice_duality_mismatches(table, co_dual):
-        if mismatch is not None:
-            d, lhs, rhs = mismatch
-            return (
-                f"slice homology at {_pair(sigma, omega)} degree {d} is "
-                f"{lhs}, dual cohomology gives {rhs}"
-            )
-        try:
-            alexander_duality_witness(K, sigma, omega, precomputed_dual=dual)
-        except DualityCheckError as e:
-            return f"witness failed at {_pair(sigma, omega)}: {e}"
+    for sigma, omega, (d, lhs, rhs) in slice_duality_mismatches(table, co_dual):
+        return (
+            f"slice homology at {_pair(sigma, omega)} degree {d} is "
+            f"{lhs}, dual cohomology gives {rhs}"
+        )
+    try:
+        alexander_duality_witness(K, 0, K.ground, precomputed_dual=dual)
+    except DualityCheckError as e:
+        return f"witness failed at {_pair(0, K.ground)}: {e}"
     return None
 
 

@@ -1,12 +1,15 @@
 """Finitely generated abelian groups and graded tensor bookkeeping."""
 
 import doctest
+import random
+import time
 
 import pytest
 
 import polyprod.abelian
 from polyprod import FgAbelianGroup, GradedGroup, graded_tensor, tensor_additive
 from polyprod.abelian import Z_GROUP, ZERO_GRADED, ZERO_GROUP
+from polyprod.homology import smith_normal_form
 
 
 class TestFgAbelianGroup:
@@ -29,6 +32,39 @@ class TestFgAbelianGroup:
         assert FgAbelianGroup.from_divisors(0, [8, 2, 2]).torsion == (2, 2, 8)
         with pytest.raises(ValueError):
             FgAbelianGroup.from_divisors(0, [0])
+
+    def test_from_divisors_matches_the_prime_by_prime_merge(self):
+        # the chain from_divisors built by factoring every order, sorting
+        # each prime's exponents and multiplying them back level by level
+        def merged(divisors):
+            exps = {}
+            for d in divisors:
+                for p, e in polyprod.abelian._factorint(d).items():
+                    exps.setdefault(p, []).append(e)
+            depth = max((len(v) for v in exps.values()), default=0)
+            chain = []
+            for i in range(depth):
+                f = 1
+                for p, es in exps.items():
+                    es_sorted = sorted(es, reverse=True)
+                    if i < len(es_sorted):
+                        f *= p ** es_sorted[i]
+                chain.append(f)
+            return tuple(reversed(chain))
+
+        rng = random.Random(4471)
+        orders = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 36, 49, 60, 97, 210]
+        for _ in range(3000):
+            divisors = [rng.choice(orders) for _ in range(rng.randint(0, 8))]
+            assert FgAbelianGroup.from_divisors(0, divisors).torsion == merged(divisors)
+
+    def test_from_divisors_does_not_factor_a_large_prime(self):
+        # trial division up to its square root would take ~10^9 steps
+        p = 2**61 - 1
+        start = time.monotonic()
+        assert FgAbelianGroup.from_divisors(0, [p, p, 2]).torsion == (p, 2 * p)
+        assert smith_normal_form([[p]]) == [p]
+        assert time.monotonic() - start < 1
 
     def test_direct_sum_merges_chains(self):
         a = FgAbelianGroup(1, (2,))

@@ -458,6 +458,56 @@ class TestDualityWitness:
             alexander_duality_witness(K, sigma, omega)
 
 
+def _stand_in_duals(K):
+    # the true dual, the dual less a facet, the dual plus a minimal non-face
+    # and the non-faces of K left uncomplemented
+    g = K.ground
+    dual = K.dual(g)
+    subsets = SimplicialComplex.full_simplex(g).faces
+    out = [dual]
+    if dual.faces:
+        out.append(SimplicialComplex(g, dual.faces - {max(dual.facets())}))
+    minimal = [f for f in subsets if f not in dual.faces
+               and all(f & ~b in dual.faces for b in _bits(f))]
+    if minimal:
+        out.append(SimplicialComplex(g, dual.faces | {min(minimal)}))
+    out.append(SimplicialComplex(g, subsets - K.faces))
+    return out
+
+
+class TestWitnessAtTheGround:
+    """The witness at (empty, ground) stands for the witness at every pair.
+
+    The alexander suite builds only that one; the witness at (sigma, omega)
+    checks F not in K exactly when ground - F is a dual face for sigma <= F
+    <= sigma + omega, and (empty, ground) covers every F.
+    """
+
+    def test_raises_exactly_when_some_pair_raises(self):
+        def raises(K, sigma, omega, dual):
+            try:
+                alexander_duality_witness(K, sigma, omega, precomputed_dual=dual)
+            except DualityCheckError:
+                return True
+            return False
+
+        rng = random.Random(5318)
+        corpus = [rp2_complex(), cone_over_rp2()] + [
+            random_complex(rng, range(1, n + 1)) for n in range(1, 7) for _ in range(8)
+        ]
+        verdicts = []
+        for K in corpus:
+            g = K.ground
+            for dual in _stand_in_duals(K):
+                at_ground = raises(K, 0, g, dual)
+                anywhere = any(raises(K, sigma, omega, dual)
+                               for sigma, omega in _all_pairs(g) if omega)
+                assert at_ground == anywhere, (K, dual)
+                verdicts.append(at_ground)
+        assert len(verdicts) > 150
+        assert 0 < sum(verdicts) < len(verdicts)
+
+
 class TestSliceDualityMismatches:
     def test_own_cohomology_in_place_of_the_dual_is_caught(self):
         # the dual of the triangle boundary is {empty face}; against its own
@@ -471,16 +521,18 @@ class TestSliceDualityMismatches:
         sigma, omega, mismatch = got[0]
         assert (sigma, omega) == (0, mask_of([1]))
         assert mismatch == (0, FgAbelianGroup(0), Z_GROUP)
-        assert sum(m is not None for *_, m in got) > 1
+        assert len(got) > 1
+        # only mismatching pairs come out, each with nonempty omega, in
+        # table order
+        order = [pair for pair, _ in hochster_table(K).items()]
+        assert all(omega and m is not None for _, omega, m in got)
+        assert sorted(got, key=lambda r: order.index(r[:2])) == got
 
     def test_true_dual_reports_nothing_on_every_pair(self):
         for K in (tri(), rp2_complex(), cone_over_rp2()):
             table = hochster_table(K)
             co_dual = hochster_table(K.dual(K.ground), cohomology=True)
-            got = list(slice_duality_mismatches(table, co_dual))
-            n = K.n_vertices
-            assert len(got) == 3 ** n - 2 ** n
-            assert all(m is None for *_, m in got)
+            assert list(slice_duality_mismatches(table, co_dual)) == []
 
 
 class TestDualityGroupSides:

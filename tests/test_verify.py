@@ -183,6 +183,21 @@ class TestDetectionPower:
         assert "FAIL" in bad.lines()[0]
         assert bad.counterexample
 
+    def test_dual_suite_catches_a_dual_that_skips_the_complement(self, monkeypatch):
+        # the non-faces of K pass the face count, the involution and De
+        # Morgan; only the complement check tells them from the dual
+        def broken(self, ambient):
+            full = SimplicialComplex.full_simplex(ambient)
+            return SimplicialComplex(full.ground, full.faces - self.faces)
+
+        monkeypatch.setattr(SimplicialComplex, "dual", broken)
+        result = run_suite("dual", trials=30, max_vertices=5, seed=5)
+        assert len(result.failures) > 1
+        for trial in result.failures:
+            lines = trial.counterexample.splitlines()
+            assert lines[0] == "a face of the dual complements a face of the complex"
+            assert lines[1] in ("complex:", "first:")
+
     def test_de_morgan_failures_shrink_both_complexes(self, monkeypatch):
         real = SimplicialComplex.union
 
