@@ -40,7 +40,8 @@ def main():
         print(f"  {e.kind} sigma mask {e.sigma:02b} -> degree {e.degree}")
 
     # the space over the dual complex with complementary parameters pairs
-    # with this one degree by degree
+    # with this one: slice table entries in complementary degrees, and
+    # faces of the complex with non-faces of its dual
     print("duality pairing:", sphere_pair_duality_check(two_points, system).ok)
 
     # the randomized suite drives the same check over a corpus

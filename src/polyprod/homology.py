@@ -216,16 +216,15 @@ def smith_normal_form(matrix) -> list[int]:
     invariant-factor chain.
     """
     matrix = [list(row) for row in matrix]
-    if matrix:
-        width = len(matrix[0])
-        for row in matrix:
-            if len(row) != width:
-                raise ValueError("matrix rows must all have the same length")
     ncols = len(matrix[0]) if matrix else 0
-    cols = []
-    for j in range(ncols):
-        col = {i: row[j] for i, row in enumerate(matrix) if row[j]}
-        cols.append(col)
+    for row in matrix:
+        if len(row) != ncols:
+            raise ValueError("matrix rows must all have the same length")
+        # a float loses exactness, and bool is an int subclass
+        if list(map(type, row)).count(int) != ncols:
+            bad = next(x for x in row if type(x) is not int)
+            raise ValueError(f"matrix entries must be integers, got {bad!r}")
+    cols = [{i: x for i, x in enumerate(col) if x} for col in zip(*matrix)]
     diagonal = _invariant_factors(cols)
     torsion = FgAbelianGroup.from_divisors(0, diagonal).torsion
     return [1] * (len(diagonal) - len(torsion)) + list(torsion)

@@ -155,6 +155,17 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError, match="same length"):
             smith_normal_form([[1, 2], [3]])
 
+    def test_rejects_entries_that_are_not_ints(self):
+        # 1e20 rounds to a float that is a multiple of 3, so it used to
+        # give [3] although gcd(10^20, 3) = 1
+        cases = [([[1e20, 3]], r"1e\+20"), ([[2.0]], r"2\.0"),
+                 ([[2.0, 0], [0, 3.0]], r"2\.0"), ([[1, True]], "True"),
+                 ([[0, "4"]], "'4'")]
+        for bad, shown in cases:
+            with pytest.raises(ValueError,
+                               match="matrix entries must be integers, got " + shown):
+                smith_normal_form(bad)
+
     def test_against_minor_gcd_oracle_random(self):
         rng = random.Random(2024)
         for _ in range(150):

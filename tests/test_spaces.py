@@ -21,7 +21,8 @@ from polyprod.spaces import (
     sphere_pair_homology,
     substitution_identity_check,
 )
-from polyprod.verify import rp2_complex
+from polyprod.hochster import hochster_table, slice_duality_mismatches
+from polyprod.verify import cone_over_rp2, rp2_complex
 
 
 def two_points():
@@ -30,6 +31,14 @@ def two_points():
 
 def pair(points, sub):
     return FiniteSpacePair.of(points, sub)
+
+
+def _random_params(rng, n):
+    params = []
+    for _ in range(n):
+        r = rng.randint(0, 3)
+        params.append((r, rng.randint(0, r)))
+    return params
 
 
 class TestFiniteSpacePair:
@@ -263,11 +272,8 @@ class TestSpherePairDuality:
         for _ in range(25):
             n = rng.randint(1, 4)
             K = random_complex(rng, range(1, n + 1))
-            params = []
-            for _ in range(n):
-                r = rng.randint(0, 3)
-                params.append((r, rng.randint(0, r)))
-            assert sphere_pair_duality_check(K, SpherePairSystem.of(*params)).ok
+            S = SpherePairSystem.of(*_random_params(rng, n))
+            assert sphere_pair_duality_check(K, S).ok
 
     def test_parameter_count_validation(self):
         with pytest.raises(ValueError, match="expected 2 sphere pairs"):
@@ -296,10 +302,7 @@ class TestLedgerDegreeIdentities:
         for _ in range(60):
             n = rng.randint(1, 5)
             K = random_complex(rng, range(1, n + 1))
-            params = []
-            for _ in range(n):
-                r = rng.randint(0, 3)
-                params.append((r, rng.randint(0, r)))
+            params = _random_params(rng, n)
             co_params = [(r, r - q) for r, q in params]
             S = SpherePairSystem.of(*params)
             assert S.complement() == SpherePairSystem.of(*co_params)
@@ -327,3 +330,72 @@ class TestLedgerDegreeIdentities:
             for e in report.entries("hat"):
                 assert e.degree + co_rel[ground & ~e.sigma] == total, (K, params, e)
         assert bars > 100
+
+
+class TestAssembledBarDuality:
+    """The assembled bar gradings of a space and its complement agree.
+
+    ``sphere_pair_duality_check`` compares only the slice table entries; the
+    bar grading of the complement is assembled here from the dual's
+    cohomology table with the complement's own shifts, and must equal the
+    bar grading of K under degree d -> r - d - 1, torsion included.
+    """
+
+    def _assert_pairs(self, K, params):
+        S = SpherePairSystem.of(*params)
+        co_params = S.complement().params
+        co_bar = GradedGroup()
+        for (sigma, omega), g in hochster_table(
+                K.dual(K.ground), cohomology=True).items():
+            if omega:
+                co_bar = co_bar.direct_sum(g.shift(_shift(co_params, sigma, omega)))
+        r = S.total_degree
+        bar = sphere_pair_homology(K, S).bar
+        assert bar == GradedGroup.from_dict(
+            {r - e - 1: g for e, g in co_bar.groups}), (K, params)
+        return bar
+
+    def test_torsion_complexes(self):
+        rng = random.Random(4)
+        for K in (rp2_complex(), cone_over_rp2()):
+            for _ in range(2):
+                bar = self._assert_pairs(K, _random_params(rng, K.n_vertices))
+                assert any(g.torsion for _, g in bar.groups)
+
+    def test_random_complexes(self):
+        rng = random.Random(913)
+        nonzero = 0
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            K = random_complex(rng, range(1, n + 1))
+            nonzero += not self._assert_pairs(K, _random_params(rng, n)).is_zero
+        assert nonzero > 20
+
+
+class TestFacePairing:
+    """Why the duality check still compares face families.
+
+    A void K and a full simplex have no nonzero slice table entry at a
+    nonempty omega, so a dual that returns each of them unchanged passes
+    the entrywise comparison; only the hat count catches it.
+    """
+
+    def test_swapped_void_and_full_simplex_fail_on_hat_counts(self, monkeypatch):
+        void = SimplicialComplex.void(range(1, 4))
+        full = SimplicialComplex.full_simplex(range(1, 4))
+        true_dual = SimplicialComplex.dual
+
+        def planted(self, relative_to):
+            dual = true_dual(self, relative_to)
+            return {void: full, full: void}.get(dual, dual)
+
+        monkeypatch.setattr(SimplicialComplex, "dual", planted)
+        system = SpherePairSystem.of((1, 0), (2, 1), (3, 3))
+        for K in (void, full):
+            dual = K.dual(K.ground)
+            assert dual == K
+            assert list(slice_duality_mismatches(
+                hochster_table(K), hochster_table(dual, cohomology=True))) == []
+            v = sphere_pair_duality_check(K, system)
+            assert not v.ok
+            assert v.detail == "hat and relative-hat counts differ"
