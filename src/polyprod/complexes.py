@@ -210,11 +210,12 @@ class SimplicialComplex:
 
     def facets(self) -> list[int]:
         """Maximal faces, sorted by (size, mask)."""
-        by_size = sorted(self.faces, key=lambda f: (-f.bit_count(), f))
-        out: list[int] = []
-        for f in by_size:
-            if not any(f & g == f for g in out):
-                out.append(f)
+        # f is maximal iff adding any one ground vertex outside f leaves
+        # the family: one lookup per face and vertex
+        faces = self.faces
+        bits = _bits_of(self.ground)
+        out = [f for f in faces
+               if not any(f | b in faces for b in bits if not f & b)]
         return sorted(out, key=lambda f: (f.bit_count(), vertices_of(f)))
 
     def validate(self) -> "SimplicialComplex":

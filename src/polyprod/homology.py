@@ -6,6 +6,13 @@ augmented, so the empty face is a degree -1 generator and the void complex
 has zero homology everywhere, while the complex ``{0}`` has a single Z in
 degree -1.
 
+The groups of a complex K are read modulo the closed star st(v) of its
+first vertex v, the faces whose union with v is a face.  The star is a
+cone, so H_n(K, st v) is the reduced (co)homology of K over every
+coefficient ring, and the relative complex keeps only the faces outside
+it: one cell for the boundary of a simplex, none for a cone on v.
+:func:`chain_complex` and :func:`relative_homology` stay unreduced.
+
 Smith reduction is a sparse pass over +-1 pivots followed by a dense
 diagonalisation of the small core it leaves.  Ranks, over Z or a field, are
 read off that diagonal; the torsion is put into invariant-factor form once,
@@ -350,8 +357,13 @@ GROUPS_CACHE_SIZE = 8192
 
 @lru_cache(maxsize=HOMOLOGY_DATA_CACHE_SIZE)
 def _homology_data(key: tuple[int, ...]):
-    # key is a canonical face-mask family
-    return _smith_data(_chain_complex(key))
+    # key is a canonical face-mask family, read modulo the closed star of
+    # its vertex 1 (mask 1).  The star is a cone, so H_n(K, st 1) is the
+    # reduced (co)homology of K over any coefficients.  Void and {0} have no
+    # vertex, so their star is empty and they stay unreduced
+    faces = set(key)
+    star = {f for f in key if f | 1 in faces}
+    return _smith_data(_chain_complex(key, star))
 
 
 @lru_cache(maxsize=GROUPS_CACHE_SIZE)

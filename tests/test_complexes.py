@@ -133,6 +133,23 @@ class TestConstructors:
         assert SimplicialComplex.void([1]).facets() == []
         assert SimplicialComplex.empty_face_complex([1]).facets() == [0]
 
+    def test_facets_match_the_pairwise_containment_scan(self):
+        # the containment scan that facets() used to run, kept as the oracle
+        def by_scan(K):
+            out = []
+            for f in sorted(K.faces, key=lambda f: (-f.bit_count(), f)):
+                if not any(f & g == f for g in out):
+                    out.append(f)
+            return sorted(out, key=lambda f: (f.bit_count(), vertices_of(f)))
+
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            ground = sorted(rng.sample(range(1, 11), n))
+            K = random_complex(rng, ground)
+            for L in (K, K.dual(K.ground), K.dual(mask_of(ground) | 1 << 11)):
+                assert L.facets() == by_scan(L)
+
 
 class TestLocalOperations:
     def setup_method(self):

@@ -7,8 +7,13 @@ named spaces are frozen from hand computation.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -396,8 +401,101 @@ class TestRelativeHomology:
             relative_homology([1, 2], L)
 
 
+class TestStarReduction:
+    """Homology modulo the star of vertex 1 against the full chain complex.
+
+    ``_homology_data`` reads a complex modulo the closed star of its first
+    vertex; the oracle is the unreduced augmented complex of
+    :func:`chain_complex`, which shares no cell with the reduced one.
+    """
+
+    COEFFS = (None, RATIONALS, GF(2), GF(3))
+
+    @staticmethod
+    def _rp2_join_rp2():
+        rp2 = rp2_complex()
+        return join([rp2, rp2.relabel({v: v + 6 for v in range(1, 7)})])
+
+    def _complexes(self):
+        yield "rp2", rp2_complex()
+        yield "cone-rp2", cone_over_rp2()
+        yield "rp2*rp2", self._rp2_join_rp2()
+        yield "void", SimplicialComplex.void([1, 2])
+        yield "empty-face", SimplicialComplex.empty_face_complex([1, 2])
+        yield "point", make_complex([1], [[1]])
+        yield "gapped", make_complex([1, 3, 5, 8], [[3, 5], [5, 8], [3, 8]])
+        rng = random.Random(14)
+        for i in range(240):
+            n = rng.randint(1, 9)
+            yield f"random-{i}", random_complex(rng, range(1, n + 1))
+
+    def test_matches_the_unreduced_complex(self):
+        for name, K in self._complexes():
+            key = homology._canonical_faces(K.faces)
+            reduced = homology._homology_data(key)
+            full = homology._smith_data(chain_complex(K))
+            for coeff in self.COEFFS:
+                for cohomology in (False, True):
+                    got = homology._graded_groups(*reduced, coeff, cohomology)
+                    want = homology._graded_groups(*full, coeff, cohomology)
+                    assert got == want, (name, coeff, cohomology)
+
+    def test_torsion_survives_in_two_degrees(self):
+        K = self._rp2_join_rp2()
+        assert reduced_homology(K) == Zg((3, Z2T), (4, Z2T))
+        assert reduced_cohomology(K) == Zg((4, Z2T), (5, Z2T))
+
+    def test_the_star_removes_the_cone_and_all_but_one_sphere_cell(self):
+        apex_first = join([make_complex([1], [[1]]),
+                           rp2_complex().relabel({v: v + 1 for v in range(1, 7)})])
+        sphere = SimplicialComplex.boundary_simplex(range(1, 7))
+        for K, counts in ((apex_first, {}), (sphere, {4: 1})):
+            key = homology._canonical_faces(K.faces)
+            assert homology._homology_data(key)[0] == counts
+
+
+def _run_isolated(snippet, timeout):
+    """Run ``snippet`` in a fresh interpreter; its output lines, seconds and
+    peak resident memory in MiB (the child prints ``ru_maxrss`` last)."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (snippet + "\nimport resource\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=timeout, env=env)
+    seconds = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    *lines, rss_kib = done.stdout.splitlines()
+    return lines, seconds, int(rss_kib) / 1024
+
+
 class TestScale:
-    """Complexes of 10^4 faces and more; each finishes in about a second."""
+    """Complexes of 10^4 faces and more.  Those of about 10^6 faces run in
+    their own interpreter, so that their time and peak memory are their own.
+    """
+
+    @pytest.mark.parametrize("snippet, faces, expected", [
+        ("K = SimplicialComplex.boundary_simplex(range(1, 21))",
+         1048575, "d18: Z"),
+        ("sq = SimplicialComplex.boundary_simplex(range(1, 5))\n"
+         "K = composition_complex(cycle_complex(5), embed_on_blocks([sq] * 5))",
+         1029375, "d16: Z"),
+    ], ids=["boundary-of-19-simplex", "five-cycle-of-tetrahedron-boundaries"])
+    def test_a_million_faces_in_ten_seconds_and_500_mb(self, snippet, faces,
+                                                       expected):
+        lines, seconds, rss_mb = _run_isolated(
+            "from polyprod import *\n" + snippet + "\n"
+            "print(len(K.faces))\n"
+            "print(*reduced_homology(K).render_lines(), sep='\\n')",
+            timeout=60,
+        )
+        assert lines == [str(faces), expected]
+        assert seconds < 10, f"took {seconds:.1f} s"
+        assert rss_mb < 500, f"peak RSS {rss_mb:.0f} MiB"
 
     def test_boundary_of_simplex_on_14_vertices(self):
         S = SimplicialComplex.boundary_simplex(range(1, 15))
