@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
 
 def mask_of(vertices) -> int:
@@ -82,8 +82,8 @@ def _as_mask(x) -> int:
 # Submask tables of grounds and omegas of at most EXPAND_CACHED_VERTICES
 # vertices are cached, EXPAND_CACHE_SIZE of them; no benchmark workload
 # walks that many distinct ones (README lists what a round fills).  Facet
-# closures call submasks uncached: facets rarely repeat, and caching them
-# raised the peak memory of a homology-large round by 27 %
+# closures read a gapped support's table through _expand and keep the
+# vertex masks of _clear_codes per support size up to the same bound
 EXPAND_CACHE_SIZE = 1024
 EXPAND_CACHED_VERTICES = 12
 
@@ -95,6 +95,57 @@ def _expand(omega: int) -> tuple[int, ...]:
     if omega.bit_count() <= EXPAND_CACHED_VERTICES:
         return _cached_expand(omega)
     return submasks(omega)
+
+
+def _build_clear_codes(n: int) -> tuple[int, ...]:
+    # entry j < n: the 2^n-bit set of the codes with bit j clear, that is
+    # blocks of 2^j ones and 2^j zeros from the low end, built by doubling
+    out = []
+    for j in range(n):
+        z, width = (1 << (1 << j)) - 1, 2 << j
+        while width < 1 << n:
+            z |= z << width
+            width <<= 1
+        out.append(z)
+    return tuple(out)
+
+
+_cached_clear_codes = lru_cache(maxsize=EXPAND_CACHED_VERTICES + 1)(
+    _build_clear_codes)
+
+
+def _clear_codes(n: int) -> tuple[int, ...]:
+    if n <= EXPAND_CACHED_VERTICES:
+        return _cached_clear_codes(n)
+    return _build_clear_codes(n)
+
+
+# from_facets closes on one bitset when the support's 2^|S| codes are at
+# most this many times the subsets that expanding each distinct facet
+# would list; a wider, sparser support keeps the per-facet expansion
+CLOSURE_BITSET_RATIO = 8
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _close_codes(codes, support: int):
+    # the faces, as masks in ascending order, under the given codes over
+    # ``support``: the downward closure as a subset-sum ("zeta") transform
+    # on one 2^n-bit integer (Bjorklund, Husfeldt, Kaski and Koivisto,
+    # STOC 2007).  Bit c stands for code c; the pass for vertex j adds
+    # c - 2^j for every present c that has bit j set
+    n = support.bit_count()
+    size = 1 << n
+    bits = bytearray(b"0") * size
+    for c in codes:
+        bits[size - 1 - c] = 49  # ord("1"); the string is read high bit first
+    present = int(bits, 2)
+    for j, clear in enumerate(_clear_codes(n)):
+        present |= (present >> (1 << j)) & clear
+    flags = format(present, "b")[::-1].encode().translate(_BIT_FLAGS)
+    if support & (support + 1) == 0:  # vertices 1..n: each code is its mask
+        return compress(range(size), flags)
+    return compress(_expand(support), flags)
 
 
 def _move_faces(faces, bit_map: dict[int, int]) -> list[int]:
@@ -174,10 +225,25 @@ class SimplicialComplex:
         complex whose only face is the empty set.
         """
         g = _as_mask(ground)
-        closed = set()
+        masks = []
         for facet in facets:
             f = _as_mask(facet)
             _require_in_ground(g, f, "facet")
+            masks.append(f)
+        distinct = set(masks)
+        support = 0
+        for f in distinct:
+            support |= f
+        expanded = sum(1 << f.bit_count() for f in distinct)
+        if 1 << support.bit_count() <= CLOSURE_BITSET_RATIO * expanded:
+            if support & (support + 1):  # a gapped support: codes over it
+                codes = _move_faces(distinct, {
+                    b: 1 << i for i, b in enumerate(_bits_of(support))})
+            else:
+                codes = distinct
+            return cls(g, frozenset(_close_codes(codes, support)))
+        closed = set()
+        for f in masks:
             if f not in closed:
                 closed.update(submasks(f))
         return cls(g, frozenset(closed))
@@ -468,14 +534,9 @@ def random_complex(rng, ground) -> SimplicialComplex:
         return SimplicialComplex.void(g)
     if r < 0.10:
         return SimplicialComplex.empty_face_complex(g)
-    table = _expand(g)
     count = rng.randint(0, 1 << n)
-    closed: set[int] = set()
-    for _ in range(count):
-        f = table[rng.getrandbits(n)]
-        if f not in closed:
-            closed.update(submasks(f))
-    return SimplicialComplex(g, frozenset(closed))
+    codes = [rng.getrandbits(n) for _ in range(count)]
+    return SimplicialComplex(g, frozenset(_close_codes(codes, g)))
 
 
 def random_subcomplex(rng, X: SimplicialComplex) -> SimplicialComplex:

@@ -117,6 +117,59 @@ class TestConstructors:
         with pytest.raises(ValueError, match="not in the ground"):
             make_complex([1, 2], [[1, 3]])
 
+    def test_from_facets_matches_a_closure_by_combinations(self, monkeypatch):
+        # the closure written out from each facet's labels, sharing no code
+        # with submasks or the bitset closure, on seeded lists with compact
+        # and gapped supports, ghost vertices, labels above 64, duplicate and
+        # nested facets; both closure paths of from_facets are taken
+        def by_combinations(facets):
+            out = set()
+            for facet in facets:
+                labels = sorted(set(facet))
+                for k in range(len(labels) + 1):
+                    out.update(map(frozenset, itertools.combinations(labels, k)))
+            return out
+
+        bitset_supports = []
+        close_codes = complexes._close_codes
+
+        def recording(codes, support):
+            bitset_supports.append(support)
+            return close_codes(codes, support)
+
+        monkeypatch.setattr(complexes, "_close_codes", recording)
+        cases = [([1, 2], []), ([], []), ([1, 2], [[]]), ([], [[]]),
+                 ([1, 65, 130], [[65, 130], [1], [130, 65]])]
+        rng = random.Random(15)
+        for i in range(300):
+            # in every third case, 6-10 edges spread over 10-12 vertices
+            # leave a sparse support, which keeps the per-facet path
+            sparse = i % 3 == 0
+            n = rng.randint(10, 12) if sparse else rng.randint(0, 12)
+            if i % 2:
+                ground = list(range(1, n + 1))
+            else:
+                ground = sorted(rng.sample(range(1, 131), n))
+            if sparse:
+                facets = [rng.sample(ground, 2) for _ in range(rng.randint(6, 10))]
+            else:
+                facets = [rng.sample(ground, rng.randint(0, n))
+                          for _ in range(rng.randint(0, 8))]
+            if facets and rng.random() < 0.3:
+                facets.append(facets[0][::-1])
+            if facets and rng.random() < 0.3:
+                facets.append(facets[-1][: len(facets[-1]) // 2])
+            cases.append((ground, facets))
+        per_facet = 0
+        for ground, facets in cases:
+            before = len(bitset_supports)
+            K = make_complex(ground, facets)
+            assert faces_as_sets(K) == by_combinations(facets), (ground, facets)
+            assert K.ground == mask_of(ground)
+            per_facet += facets != [] and len(bitset_supports) == before
+        compact = [s for s in bitset_supports if s & (s + 1) == 0]
+        assert compact and len(compact) < len(bitset_supports) and per_facet
+
     def test_validate(self):
         good = make_complex([1, 2], [[1, 2]])
         assert good.validate() is good
@@ -399,7 +452,8 @@ class TestGhostFactorization:
 
 def _random_complex_per_bit(rng, ground):
     # random_complex with each facet assembled bit by bit from its draw and
-    # closed by the descending submask loop; the same rng calls in order
+    # closed by the descending submask loop unless it is already a face; the
+    # same rng calls in order
     g = mask_of(ground)
     n = g.bit_count()
     r = rng.random()
@@ -416,6 +470,8 @@ def _random_complex_per_bit(rng, ground):
         for i, p in enumerate(positions):
             if bits >> i & 1:
                 f |= p
+        if f in closed:
+            continue
         s = f
         while True:
             closed.add(s)
@@ -460,13 +516,19 @@ class TestEnumerationAndRandom:
         assert kinds == {"void", "empty-face", "proper"}
 
     def test_random_complex_matches_the_per_bit_construction(self):
-        # gapped grounds, which the golden record rarely draws
-        for ground in ([2, 5, 7, 9], [3]):
-            for seed in range(50):
-                rng, oracle_rng = random.Random(seed), random.Random(seed)
-                got = random_complex(rng, ground)
-                assert got == _random_complex_per_bit(oracle_rng, ground), (ground, seed)
-                assert rng.getstate() == oracle_rng.getstate()
+        # compact and gapped grounds of 0-10 vertices; the golden record
+        # rarely draws gapped ones
+        labels = random.Random(9)
+        for seed in range(3000):
+            n = seed % 11
+            if seed % 2:
+                ground = list(range(1, n + 1))
+            else:
+                ground = sorted(labels.sample(range(1, 40), n))
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            got = random_complex(rng, ground)
+            assert got == _random_complex_per_bit(oracle_rng, ground), (ground, seed)
+            assert rng.getstate() == oracle_rng.getstate()
 
     def test_random_subcomplex_nests(self):
         rng = random.Random(3)

@@ -481,10 +481,15 @@ class TestScale:
     @pytest.mark.parametrize("snippet, faces, expected", [
         ("K = SimplicialComplex.boundary_simplex(range(1, 21))",
          1048575, "d18: Z"),
+        # what `polyprod homology` builds from a document of the 20 facets
+        ("K = make_complex(range(1, 21), "
+         "[[v for v in range(1, 21) if v != u] for u in range(1, 21)])",
+         1048575, "d18: Z"),
         ("sq = SimplicialComplex.boundary_simplex(range(1, 5))\n"
          "K = composition_complex(cycle_complex(5), embed_on_blocks([sq] * 5))",
          1029375, "d16: Z"),
-    ], ids=["boundary-of-19-simplex", "five-cycle-of-tetrahedron-boundaries"])
+    ], ids=["boundary-of-19-simplex", "facets-of-19-simplex-boundary",
+            "five-cycle-of-tetrahedron-boundaries"])
     def test_a_million_faces_in_ten_seconds_and_500_mb(self, snippet, faces,
                                                        expected):
         lines, seconds, rss_mb = _run_isolated(
@@ -496,6 +501,31 @@ class TestScale:
         assert lines == [str(faces), expected]
         assert seconds < 10, f"took {seconds:.1f} s"
         assert rss_mb < 500, f"peak RSS {rss_mb:.0f} MiB"
+
+    @pytest.mark.parametrize("facets, bitset_closures, expected", [
+        ("[[v, v % 60 + 1] for v in range(1, 61)]", 0, "d1: Z"),
+        ("[[1, 2], [199, 200]]", 1, "d0: Z"),
+    ], ids=["sixty-cycle", "two-edges-199-apart"])
+    def test_wide_sparse_supports_in_five_seconds_and_200_mb(
+            self, facets, bitset_closures, expected):
+        # a closure on one bitset costs 2^|support| bits: the 60-cycle must
+        # keep the per-facet expansion, and the two far edges are closed over
+        # their four vertices, not over the labels up to 200
+        lines, seconds, rss_mb = _run_isolated(
+            "from polyprod import complexes, make_complex, reduced_homology\n"
+            "calls = []\n"
+            "close_codes = complexes._close_codes\n"
+            "complexes._close_codes = lambda *a: calls.append(a) or close_codes(*a)\n"
+            f"facets = {facets}\n"
+            "ground = sorted({v for f in facets for v in f})\n"
+            "K = make_complex(ground, facets)\n"
+            "print(len(calls))\n"
+            "print(*reduced_homology(K).render_lines(), sep='\\n')",
+            timeout=60,
+        )
+        assert lines == [str(bitset_closures), expected]
+        assert seconds < 5, f"took {seconds:.1f} s"
+        assert rss_mb < 200, f"peak RSS {rss_mb:.0f} MiB"
 
     def test_boundary_of_simplex_on_14_vertices(self):
         S = SimplicialComplex.boundary_simplex(range(1, 15))
