@@ -9,6 +9,7 @@ error (bad documents, bad flags, violated preconditions).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .complexes import (
@@ -227,6 +228,7 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyprod",

@@ -43,6 +43,10 @@ def index_pairs(ground) -> list[tuple[int, int]]:
     return pairs
 
 
+# reused by the tables of a complex and its dual, which share one ground
+_pair_order = lru_cache(maxsize=32)(lambda ground: tuple(index_pairs(ground)))
+
+
 class BigradedTable:
     """Slice homology groups of one complex, indexed by disjoint pairs.
 
@@ -88,7 +92,7 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     canonical form.
     """
     if pairs is None:
-        pair_list = index_pairs(K.ground)
+        pair_list = _pair_order(K.ground)
     else:
         pair_list = [(_as_mask(s), _as_mask(w)) for s, w in pairs]
         for s, w in pair_list:

@@ -13,6 +13,9 @@ coefficient ring, and the relative complex keeps only the faces outside
 it: one cell for the boundary of a simplex, none for a cone on v.
 :func:`chain_complex` and :func:`relative_homology` stay unreduced.
 
+One builder yields each degree's boundary as ``{row: sign}`` columns; the
+groups reduce and drop them before the next degree's are built.
+
 Smith reduction is a sparse pass over +-1 pivots followed by a dense
 diagonalisation of the small core it leaves.  Ranks, over Z or a field, are
 read off that diagonal; the torsion is put into invariant-factor form once,
@@ -131,8 +134,8 @@ def _dense_smith(m: list[list[int]]) -> list[int]:
 def _invariant_factors(columns) -> list[int]:
     """Nonzero diagonal of a diagonal form of a sparse integer matrix.
 
-    Each column is a dict, or an iterable of (row, value) pairs.  A unit
-    pass strips +-1 pivots first, then the dense reduction diagonalises
+    Each column is a dict ``{row: value}``, used up by the reduction.  A
+    unit pass strips +-1 pivots first, then the dense reduction diagonalises
     whatever small core remains.  The result is a 1 per unit pivot followed
     by the core's diagonal: its length is the rank and its product is the
     product of the invariant factors, but it need not be a divisibility
@@ -152,7 +155,6 @@ def _invariant_factors(columns) -> list[int]:
     col_entries: dict[int, dict[int, int]] = {}
     row_cols: dict[int, set[int]] = {}
     for j, c in enumerate(columns):
-        c = dict(c)
         if c:
             col_entries[j] = c
             for i in c:
@@ -245,8 +247,8 @@ class AugmentedChainComplex:
 
     ``bases[d]`` is the sorted tuple of generator masks of dimension d (the
     empty face sits in degree -1).  ``boundaries[d]``, for every d >= 0 with
-    generators, holds one column per basis face: a list of (row index in
-    ``bases[d-1]``, sign) entries.
+    generators, holds one column per basis face: a dict mapping a row
+    index in ``bases[d-1]`` to its sign.
     """
 
     def __init__(self, bases, boundaries):
@@ -258,53 +260,48 @@ class AugmentedChainComplex:
         cols = self.boundaries.get(d, [])
         out = [[0] * len(cols) for _ in range(nrows)]
         for j, col in enumerate(cols):
-            for i, s in col:
+            for i, s in col.items():
                 out[i][j] = s
         return out
 
 
-def _chain_complex(faces, quotient=frozenset()) -> AugmentedChainComplex:
+def _boundary_columns(faces, quotient=frozenset()):
     """Chain complex of a face-mask family modulo the faces in ``quotient``.
 
-    The generators are the faces not in ``quotient``, and boundary terms
-    that land in ``quotient`` are dropped, so ``quotient`` must be closed
-    under taking subfaces.  Every other codimension-one face of a generator
-    must itself be a generator.
+    Yields ``(d, basis, columns)`` by ascending d: the sorted generator
+    masks and one ``{row: sign}`` column each, whose rows index the basis
+    of degree d - 1, the one index kept.  The generators are the faces not
+    in ``quotient``, and boundary terms that land in ``quotient`` are
+    dropped, so ``quotient`` must be closed under taking subfaces.  Every
+    other codimension-one face of a generator must itself be a generator.
     """
     by_deg: dict[int, list[int]] = {}
     for f in faces:
         if f not in quotient:
             by_deg.setdefault(f.bit_count() - 1, []).append(f)
-    bases = {d: tuple(sorted(by_deg[d])) for d in sorted(by_deg)}
-    index = {d: {f: i for i, f in enumerate(b)} for d, b in bases.items()}
-    boundaries = {}
-    for d, basis in bases.items():
-        if d < 0:
-            continue
-        below = index.get(d - 1, {})
-        cols = []
-        for f in basis:
-            col = []
-            for pos, b in enumerate(_bits_of(f)):
-                sub = f ^ b
-                if sub not in quotient:
-                    col.append((below[sub], -1 if pos & 1 else 1))
-            cols.append(col)
-        boundaries[d] = cols
-    return AugmentedChainComplex(bases, boundaries)
+    below = {}
+    for d in sorted(by_deg):
+        basis = tuple(sorted(by_deg.pop(d)))
+        yield d, basis, [{below[sub]: -1 if pos & 1 else 1
+                          for pos, b in enumerate(_bits_of(f))
+                          if (sub := f ^ b) not in quotient} for f in basis]
+        below = {f: i for i, f in enumerate(basis)}
 
 
 def chain_complex(K: SimplicialComplex) -> AugmentedChainComplex:
     """Augmented chain complex of a complex (empty for the void complex)."""
-    return _chain_complex(K.faces)
+    degrees = list(_boundary_columns(K.faces))
+    return AugmentedChainComplex({d: b for d, b, _ in degrees},
+                                 {d: c for d, _, c in degrees if d >= 0})
 
 
-def _smith_data(cx: AugmentedChainComplex):
+def _smith_data(faces, quotient=frozenset()):
     # per degree: basis size and invariant factors of the boundary map out
-    # of that degree
-    counts = {d: len(b) for d, b in cx.bases.items()}
-    factors = {d: tuple(_invariant_factors(cols))
-               for d, cols in cx.boundaries.items()}
+    # of that degree, whose columns are used up and dropped before the next
+    counts, factors = {}, {}
+    for d, basis, cols in _boundary_columns(faces, quotient):
+        counts[d], factors[d] = len(basis), tuple(_invariant_factors(cols))
+        del cols
     return counts, factors
 
 
@@ -317,10 +314,8 @@ def _field_rank(factors, p) -> int:
 
 
 def _graded_groups(counts, factors, coeff, cohomology) -> GradedGroup:
-    if not counts:
-        return GradedGroup()
     out = {}
-    for n in range(-1, max(counts) + 1):
+    for n in range(-1, max(counts, default=-2) + 1):
         c = counts.get(n, 0)
         fn = factors.get(n, ())
         fn1 = factors.get(n + 1, ())
@@ -362,8 +357,7 @@ def _homology_data(key: tuple[int, ...]):
     # reduced (co)homology of K over any coefficients.  Void and {0} have no
     # vertex, so their star is empty and they stay unreduced
     faces = set(key)
-    star = {f for f in key if f | 1 in faces}
-    return _smith_data(_chain_complex(key, star))
+    return _smith_data(key, {f for f in key if f | 1 in faces})
 
 
 @lru_cache(maxsize=GROUPS_CACHE_SIZE)
@@ -416,8 +410,7 @@ def relative_homology(omega, L: SimplicialComplex):
     if L.ground & ~w:
         bad = vertices_of(L.ground & ~w)[0]
         raise ValueError(f"subcomplex vertex {bad} is not in the vertex set")
-    cx = _chain_complex(submasks(w), L.faces)
-    groups = _graded_groups(*_smith_data(cx), None, False)
+    groups = _graded_groups(*_smith_data(submasks(w), L.faces), None, False)
     agrees = groups == reduced_homology(L).shift(1)
     return groups, agrees
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import polyprod.cli as cli
 import polyprod.spaces as spaces
 import polyprod.verify as verify
 from polyprod.cli import main
@@ -460,6 +461,28 @@ def run_cli_process(*argv):
         [sys.executable, "-m", "polyprod.cli", *argv],
         capture_output=True, text=True, timeout=20, env=env,
     )
+
+
+class TestCliSharedParser:
+    """The parser is built once per process; no call leaks into the next."""
+
+    def test_back_to_back_calls_match_fresh_runs(self, docdir, capsys):
+        runs = [
+            ("homology", "rp2.doc", "--cohomology", "--coeff", "p:2"),
+            ("homology", "rp2.doc"),
+            ("dual", "tri.doc", "--relative-to", "1,2,3,4"),
+            ("dual", "tri.doc"),
+            ("homology", "rp2.doc", "--coeff", "p:4"),
+            ("hochster", "s0.doc", "--pairs", "1:2", "--cohomology"),
+            ("hochster", "s0.doc"),
+            ("homology", "rp2.doc", "--coeff", "q"),
+        ]
+        for argv in runs:
+            argv = [str(docdir / a) if a.endswith(".doc") else a for a in argv]
+            fresh = run_cli_process(*argv)
+            got = run_cli(capsys, *argv)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestCliLargeLabels:
