@@ -128,6 +128,23 @@ CLOSURE_BITSET_RATIO = 8
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _code_bitset(codes, n: int) -> int:
+    # the 2^n-bit integer with bit c set for each given code c
+    size = 1 << n
+    bits = bytearray(b"0") * size
+    for c in codes:
+        bits[size - 1 - c] = 49  # ord("1"); the string is read high bit first
+    return int(bits, 2)
+
+
+def _bitset_masks(present: int, support: int):
+    # the masks over ``support`` of the codes set in ``present``, ascending
+    flags = format(present, "b")[::-1].encode().translate(_BIT_FLAGS)
+    if support & (support + 1) == 0:  # vertices 1..n: each code is its mask
+        return compress(range(len(flags)), flags)
+    return compress(_expand(support), flags)
+
+
 def _close_codes(codes, support: int):
     # the faces, as masks in ascending order, under the given codes over
     # ``support``: the downward closure as a subset-sum ("zeta") transform
@@ -135,17 +152,10 @@ def _close_codes(codes, support: int):
     # STOC 2007).  Bit c stands for code c; the pass for vertex j adds
     # c - 2^j for every present c that has bit j set
     n = support.bit_count()
-    size = 1 << n
-    bits = bytearray(b"0") * size
-    for c in codes:
-        bits[size - 1 - c] = 49  # ord("1"); the string is read high bit first
-    present = int(bits, 2)
+    present = _code_bitset(codes, n)
     for j, clear in enumerate(_clear_codes(n)):
         present |= (present >> (1 << j)) & clear
-    flags = format(present, "b")[::-1].encode().translate(_BIT_FLAGS)
-    if support & (support + 1) == 0:  # vertices 1..n: each code is its mask
-        return compress(range(size), flags)
-    return compress(_expand(support), flags)
+    return _bitset_masks(present, support)
 
 
 def _move_faces(faces, bit_map: dict[int, int]) -> list[int]:
@@ -159,6 +169,15 @@ def _move_faces(faces, bit_map: dict[int, int]) -> list[int]:
             f ^= low
         out.append(g)
     return out
+
+
+def _codes_over(masks, support: int):
+    # each mask, a subset of ``support``, as its code over it: bit i stands
+    # for the i-th smallest vertex of support.  Over vertices 1..n each mask
+    # is its own code, and the masks come back as they were given
+    if support & (support + 1) == 0:
+        return masks
+    return _move_faces(masks, {b: 1 << i for i, b in enumerate(_bits_of(support))})
 
 
 def _link_support(faces, sigma: int, within: int) -> int:
@@ -236,12 +255,8 @@ class SimplicialComplex:
             support |= f
         expanded = sum(1 << f.bit_count() for f in distinct)
         if 1 << support.bit_count() <= CLOSURE_BITSET_RATIO * expanded:
-            if support & (support + 1):  # a gapped support: codes over it
-                codes = _move_faces(distinct, {
-                    b: 1 << i for i, b in enumerate(_bits_of(support))})
-            else:
-                codes = distinct
-            return cls(g, frozenset(_close_codes(codes, support)))
+            return cls(g, frozenset(_close_codes(_codes_over(distinct, support),
+                                                 support)))
         closed = set()
         for f in masks:
             if f not in closed:
@@ -276,12 +291,24 @@ class SimplicialComplex:
 
     def facets(self) -> list[int]:
         """Maximal faces, sorted by (size, mask)."""
-        # f is maximal iff adding any one ground vertex outside f leaves
-        # the family: one lookup per face and vertex
+        # f is maximal iff adding any one ground vertex outside f leaves the
+        # family.  When the ground's codes are few enough (the rule of
+        # from_facets), that is one pass per vertex j on the bitset of the
+        # codes over the ground, marking c when c + 2^j is present; else one
+        # lookup per face and vertex
         faces = self.faces
-        bits = _bits_of(self.ground)
-        out = [f for f in faces
-               if not any(f | b in faces for b in bits if not f & b)]
+        g = self.ground
+        n = g.bit_count()
+        if 1 << n <= CLOSURE_BITSET_RATIO * len(faces):
+            present = _code_bitset(_codes_over(faces, g), n)
+            covered = 0
+            for j, clear in enumerate(_clear_codes(n)):
+                covered |= (present >> (1 << j)) & clear
+            out = _bitset_masks(present & ~covered, g)
+        else:
+            bits = _bits_of(g)
+            out = [f for f in faces
+                   if not any(f | b in faces for b in bits if not f & b)]
         return sorted(out, key=lambda f: (f.bit_count(), vertices_of(f)))
 
     def validate(self) -> "SimplicialComplex":

@@ -7,21 +7,26 @@ where degree d carries reduced degree d-1.  The duality witness realizes,
 at chain level, the isomorphism between the slice homology of K and the
 complementary-degree slice cohomology of the Alexander dual: the signed
 bijection eta -> omega minus eta between non-faces of the slice and faces
-of the dual slice.
+of the dual slice.  It checks a pair on windows of two face bitsets read
+once per complex and its dual, and builds the signed map only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .abelian import GradedGroup, tensor_additive
 from .complexes import (
     SimplicialComplex,
     _as_mask,
     _bits_of,
+    _code_bitset,
+    _codes_over,
     _expand,
     _link_support,
+    _move_faces,
     _positions,
     _require_in_ground,
     composition_complex,
@@ -167,18 +172,71 @@ class DualityWitness:
     with the dual cochain differential when passing from degree d to d-1,
     listed for each degree that has a square.  It is (-1)^d for every K,
     so no call recomputes it; ``TestWitnessIsAChainMap`` pins it.
+
+    The check needs neither: both are built on first read from
+    ``nonfaces``, the non-faces of the slice as a bitset over the codes of
+    K's ground (bit t for the face of code t), and ``omega_code``, the code
+    of omega there.
     """
 
     sigma: int
     omega: int
-    taking: tuple[tuple[int, tuple[tuple[int, tuple[int, int]], ...]], ...]
-    sign_profile: tuple[tuple[int, int], ...]
+    nonfaces: int = field(repr=False)
+    omega_code: int = field(repr=False)
+
+    @cached_property
+    def taking(self) -> tuple[tuple[int, tuple[tuple[int, tuple[int, int]], ...]], ...]:
+        # the subset of omega with code c over omega has the mask ex[c] and
+        # the code tx[c] over K's ground
+        w = self.omega
+        ex, tx = _expand(w), _expand(self.omega_code)
+        flags = format(self.nonfaces, "b").zfill(self.omega_code + 1)[::-1]
+        taking = []
+        for k, level in enumerate(_code_levels(w.bit_count())):
+            items = tuple([(ex[c], (w ^ ex[c], sign)) for c, sign in level
+                           if flags[tx[c]] == "1"])
+            if items:
+                taking.append((k - 1, items))
+        return tuple(taking)
+
+    @cached_property
+    def sign_profile(self) -> tuple[tuple[int, int], ...]:
+        # the slice is closed under subsets, so eta + v is a generator for
+        # each v in omega - eta: a square runs from degree |eta| to |eta| - 1
+        # for every generator but omega itself
+        squares = [d + 1 for d, _ in self.taking if d + 1 < self.omega.bit_count()]
+        return tuple((k, -1 if k & 1 else 1) for k in squares)
 
     def map_at(self, degree: int) -> dict[int, tuple[int, int]]:
         for d, items in self.taking:
             if d == degree:
                 return dict(items)
         return {}
+
+
+# The face bitsets of the last (K, dual) pair that a witness read, with
+# weak references to both complexes.  Keyed on identity, not on value: a
+# complex equal to an earlier one may slice differently (a planted fault in
+# ``slice`` must reach every call), and a weak entry keeps no complex alive
+_last_windows: tuple = (None, None, 0, 0)
+
+
+def _face_windows(K: SimplicialComplex, dual: SimplicialComplex) -> tuple[int, int]:
+    # over the codes c of K's ground: bit c of the first is set when code c
+    # is a face of K, bit c of the second when its complement is a dual
+    # face, both read through ``slice`` at (empty, ground)
+    global _last_windows
+    k_ref, dual_ref, faces, cofaces = _last_windows
+    if k_ref is not None and k_ref() is K and dual_ref() is dual:
+        return faces, cofaces
+    g = K.ground
+    n = g.bit_count()
+    top = (1 << n) - 1
+    faces = _code_bitset(_codes_over(K.slice(0, g).faces, g), n)
+    cofaces = _code_bitset(
+        [top ^ c for c in _codes_over(dual.slice(0, g).faces, g)], n)
+    _last_windows = (weakref.ref(K), weakref.ref(dual), faces, cofaces)
+    return faces, cofaces
 
 
 def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
@@ -192,6 +250,14 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
     ground; a wider ambient set is a ground with ghost vertices): the
     counts agree and every complement is a dual face.  Raises
     :class:`DualityCheckError` if either fails; requires nonempty omega.
+
+    Both slices are windows of two bitsets over the codes of K's ground,
+    read once per (K, dual) through ``K.slice`` and ``dual.slice`` at
+    (empty, ground): shifted down by sigma's code and cut to the subsets of
+    omega's code, they give the faces of the slice and the subsets of omega
+    whose complements are dual faces, so a pair costs a few big-integer
+    operations.  A sweep over the pairs of one complex reads the bitsets
+    once; they cost 2^|ground| bits, however small omega is.
 
     Given the bijection, two identities hold for every K and are not
     checked per pair: eta - v is a generator exactly when
@@ -213,44 +279,31 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
     if (s | w) & ~amb:
         bad = vertices_of((s | w) & ~amb)[0]
         raise ValueError(f"vertex {bad} is outside the ambient set")
-    slice_faces = K.slice(s, w).faces
-    sigma_tilde = amb & ~(s | w)
     dual = precomputed_dual if precomputed_dual is not None else K.dual(amb)
     if dual.ground != amb:
         raise ValueError("precomputed dual does not match the ambient set")
-    dual_slice = dual.slice(sigma_tilde, w).faces
-
-    ex = _expand(w)
-    taking = []
-    count = 0
-    for k, level in enumerate(_code_levels(w.bit_count())):
-        items = tuple([(eta, (w ^ eta, sign)) for c, sign in level
-                       if (eta := ex[c]) not in slice_faces])
-        if items:
-            taking.append((k - 1, items))
-            count += len(items)
-    if count != len(dual_slice):
+    faces, cofaces = _face_windows(K, dual)
+    sc, wc = _codes_over((s, w), amb)
+    cube = 1  # bit t for each code t inside omega's code
+    for b in _bits_of(wc):
+        cube |= cube << b
+    in_slice = faces >> sc & cube
+    hits = cofaces >> sc & cube
+    nonfaces = cube ^ in_slice
+    if nonfaces.bit_count() != hits.bit_count():
         raise DualityCheckError(
             "non-face count does not match the dual slice face count"
         )
     # with the counts equal, every complement of a non-face is a dual face
     # exactly when no complement of a dual face is a face
-    if not slice_faces.isdisjoint(map(w.__xor__, dual_slice)):
-        missing = max(eta for _, items in taking for eta, (comp, _) in items
-                      if comp not in dual_slice)
+    if in_slice & hits:
+        last = (nonfaces & ~hits).bit_length() - 1  # the largest such code
+        missing = _move_faces(
+            (last,), {1 << i: b for i, b in enumerate(_bits_of(amb))})[0]
         raise DualityCheckError(
             f"complement of {list(vertices_of(missing))} is not a dual face"
         )
-    # the slice is closed under subsets, so eta + v is a generator for each
-    # v in omega - eta: a square runs from degree |eta| to |eta| - 1 for
-    # every generator but omega itself
-    squares = [d + 1 for d, _ in taking if d + 1 < w.bit_count()]
-    return DualityWitness(
-        sigma=s,
-        omega=w,
-        taking=tuple(taking),
-        sign_profile=tuple((k, -1 if k & 1 else 1) for k in squares),
-    )
+    return DualityWitness(s, w, nonfaces, wc)
 
 
 def slice_duality_mismatches(table: BigradedTable,

@@ -37,7 +37,7 @@ from .complexes import (
     SimplicialComplex,
     _as_mask,
     _bits_of,
-    _move_faces,
+    _codes_over,
     submasks,
     vertices_of,
 )
@@ -338,10 +338,7 @@ def _canonical_faces(faces) -> tuple[int, ...]:
     support = 0
     for f in faces:
         support |= f
-    if support & (support + 1) == 0:
-        return tuple(sorted(faces))
-    table = {b: 1 << i for i, b in enumerate(_bits_of(support))}
-    return tuple(sorted(_move_faces(faces, table)))
+    return tuple(sorted(_codes_over(faces, support)))
 
 
 # Bounds of the two homology caches: a round of the busiest benchmark

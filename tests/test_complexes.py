@@ -195,13 +195,23 @@ class TestConstructors:
                     out.append(f)
             return sorted(out, key=lambda f: (f.bit_count(), vertices_of(f)))
 
+        # on grounds 1..n, on gapped grounds with labels above 64, and with
+        # a ghost vertex; the bitset rule of from_facets picks the path
         rng = random.Random(12)
-        for _ in range(60):
+        paths = set()
+        for i in range(120):
             n = rng.randint(1, 8)
-            ground = sorted(rng.sample(range(1, 11), n))
+            if i % 2:
+                ground = list(range(1, n + 1))
+            else:
+                ground = sorted(rng.sample(range(1, 131), n))
             K = random_complex(rng, ground)
-            for L in (K, K.dual(K.ground), K.dual(mask_of(ground) | 1 << 11)):
+            ghost = mask_of(ground) | 1 << 131
+            for L in (K, K.dual(K.ground), K.dual(ghost)):
                 assert L.facets() == by_scan(L)
+                paths.add((L.ground & (L.ground + 1) == 0, 1 << L.n_vertices
+                           <= complexes.CLOSURE_BITSET_RATIO * len(L.faces)))
+        assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestLocalOperations:

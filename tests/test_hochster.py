@@ -1,7 +1,9 @@
 """Bigraded tables, the duality witness, and the composition formulas."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -15,7 +17,6 @@ from polyprod.complexes import (
 from polyprod.hochster import (
     BigradedTable,
     DualityCheckError,
-    DualityWitness,
     alexander_duality_witness,
     composition_homology,
     duality_group_sides,
@@ -299,13 +300,10 @@ def _witness_by_definition(K, sigma, omega):
         if eta == 0:
             break
         eta = (eta - 1) & omega
-    return DualityWitness(
-        sigma=sigma,
-        omega=omega,
-        taking=tuple((d, tuple(sorted(items.items())))
-                     for d, items in sorted(taking.items())),
-        sign_profile=tuple(sorted(profile.items())),
-    )
+    return (sigma, omega,
+            tuple((d, tuple(sorted(items.items())))
+                  for d, items in sorted(taking.items())),
+            tuple(sorted(profile.items())))
 
 
 class TestWitnessAgainstItsDefinition:
@@ -317,8 +315,9 @@ class TestWitnessAgainstItsDefinition:
             dual = K.dual(K.ground)
             for sigma, omega in _all_pairs(K.ground):
                 if omega:
-                    got = alexander_duality_witness(K, sigma, omega,
-                                                    precomputed_dual=dual)
+                    w = alexander_duality_witness(K, sigma, omega,
+                                                  precomputed_dual=dual)
+                    got = (w.sigma, w.omega, w.taking, w.sign_profile)
                     assert got == _witness_by_definition(K, sigma, omega), (
                         K, sigma, omega)
                     pairs += 1
@@ -506,6 +505,103 @@ class TestWitnessAtTheGround:
                 verdicts.append(at_ground)
         assert len(verdicts) > 150
         assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _verdict_by_definition(K, dual, sigma, omega):
+    # the witness's two checks, in its order and with its messages, on
+    # slices scanned here
+    slice_faces = _slice_by_face_scan(K, sigma, omega)
+    dual_slice = _slice_by_face_scan(dual, K.ground & ~(sigma | omega), omega)
+    nonfaces = [eta for eta in _subsets(omega) if eta not in slice_faces]
+    if len(nonfaces) != len(dual_slice):
+        return "non-face count does not match the dual slice face count"
+    missing = [eta for eta in nonfaces if omega ^ eta not in dual_slice]
+    if missing:
+        labels = [b.bit_length() for b in _bits(max(missing))]
+        return f"complement of {labels} is not a dual face"
+    return None
+
+
+class TestWitnessVerdictsAgainstTheirDefinition:
+    """The verdict and message at every pair, against slices scanned here.
+
+    Complexes on 1-6 vertices, on grounds 1..n and on gapped grounds, each
+    against its true dual, a random complex, the dual less its largest face
+    and the dual plus a minimal non-face.
+    """
+
+    def test_every_nonempty_omega_pair(self):
+        rng = random.Random(1818)
+        corpus = []
+        for n in range(1, 7):
+            for _ in range(2):
+                corpus.append(random_complex(rng, range(1, n + 1)))
+                corpus.append(random_complex(rng, sorted(rng.sample(range(1, 70), n))))
+        seen = {}
+        for K in corpus:
+            g = K.ground
+            # _stand_in_duals lists the uncomplemented non-faces last
+            duals = _stand_in_duals(K)[:-1] + [random_complex(rng, g)]
+            for dual in duals:
+                for sigma, omega in _all_pairs(g):
+                    if not omega:
+                        continue
+                    try:
+                        alexander_duality_witness(K, sigma, omega,
+                                                  precomputed_dual=dual)
+                        got = None
+                    except DualityCheckError as e:
+                        got = str(e)
+                    want = _verdict_by_definition(K, dual, sigma, omega)
+                    assert got == want, (K, dual, sigma, omega)
+                    kind = want and want.split()[-1]
+                    seen[kind] = seen.get(kind, 0) + 1
+        # passes, count failures and complement failures all occur
+        assert set(seen) == {None, "count", "face"}, seen
+        assert sum(seen.values()) > 10000
+
+
+class TestWitnessMemo:
+    """The witness reads the faces of K and of the dual once per pair of
+    objects, keyed on their identity and held by weak reference.
+    """
+
+    def test_a_patched_slice_reaches_equal_but_distinct_complexes(self, monkeypatch):
+        K = cone_over_rp2()
+        dual = K.dual(K.ground)
+        alexander_duality_witness(K, 0, K.ground, precomputed_dual=dual)
+        copy = SimplicialComplex(K.ground, K.faces)
+        copy_dual = SimplicialComplex(dual.ground, dual.faces)
+        assert (copy, copy_dual) == (K, dual)
+        real = SimplicialComplex.slice
+
+        def drops_largest_face(self, sigma, omega):
+            S = real(self, sigma, omega)
+            return SimplicialComplex(S.ground, S.faces - {max(S.faces)})
+
+        monkeypatch.setattr(SimplicialComplex, "slice", drops_largest_face)
+        with pytest.raises(DualityCheckError, match="count"):
+            alexander_duality_witness(copy, 0, K.ground, precomputed_dual=copy_dual)
+
+    def test_a_wrong_dual_after_the_true_one_still_fails(self):
+        K = rp2_complex()
+        g = K.ground
+        dual = K.dual(g)
+        alexander_duality_witness(K, 0, g, precomputed_dual=dual)
+        wrong = SimplicialComplex(g, dual.faces - {max(dual.faces)})
+        for L in (K, SimplicialComplex(g, K.faces)):
+            with pytest.raises(DualityCheckError, match="count"):
+                alexander_duality_witness(L, 0, g, precomputed_dual=wrong)
+            alexander_duality_witness(L, 0, g, precomputed_dual=dual)
+
+    def test_the_memo_keeps_neither_complex_alive(self):
+        K = SimplicialComplex.boundary_simplex(range(1, 6))
+        dual = K.dual(K.ground)
+        alexander_duality_witness(K, (1,), (2, 3), precomputed_dual=dual)
+        refs = [weakref.ref(K), weakref.ref(dual)]
+        del K, dual
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestSliceDualityMismatches:

@@ -502,17 +502,21 @@ class TestScale:
         assert seconds < 10, f"took {seconds:.1f} s"
         assert rss_mb < 500, f"peak RSS {rss_mb:.0f} MiB"
 
-    @pytest.mark.parametrize("facets, bitset_closures, expected", [
-        ("[[v, v % 60 + 1] for v in range(1, 61)]", 0, "d1: Z"),
-        ("[[1, 2], [199, 200]]", 1, "d0: Z"),
+    @pytest.mark.parametrize("facets, bitset_closures, expected, rendered", [
+        ("[[v, v % 60 + 1] for v in range(1, 61)]", 0, "d1: Z",
+         "facets: [[1,2],[1,60]," + ",".join(f"[{v},{v + 1}]" for v in range(2, 60))
+         + "]"),
+        ("[[1, 2], [199, 200]]", 1, "d0: Z", "facets: [[1,2],[199,200]]"),
     ], ids=["sixty-cycle", "two-edges-199-apart"])
     def test_wide_sparse_supports_in_five_seconds_and_200_mb(
-            self, facets, bitset_closures, expected):
-        # a closure on one bitset costs 2^|support| bits: the 60-cycle must
-        # keep the per-facet expansion, and the two far edges are closed over
+            self, facets, bitset_closures, expected, rendered):
+        # a closure or a facet listing on one bitset costs 2^|ground| bits:
+        # the 60-cycle must keep the per-facet expansion and the per-face
+        # facet scan, and the two far edges are closed and listed over
         # their four vertices, not over the labels up to 200
         lines, seconds, rss_mb = _run_isolated(
             "from polyprod import complexes, make_complex, reduced_homology\n"
+            "from polyprod.documents import document_of\n"
             "calls = []\n"
             "close_codes = complexes._close_codes\n"
             "complexes._close_codes = lambda *a: calls.append(a) or close_codes(*a)\n"
@@ -520,10 +524,11 @@ class TestScale:
             "ground = sorted({v for f in facets for v in f})\n"
             "K = make_complex(ground, facets)\n"
             "print(len(calls))\n"
-            "print(*reduced_homology(K).render_lines(), sep='\\n')",
+            "print(*reduced_homology(K).render_lines(), sep='\\n')\n"
+            "print(document_of(K).render().splitlines()[-1])",
             timeout=60,
         )
-        assert lines == [str(bitset_closures), expected]
+        assert lines == [str(bitset_closures), expected, rendered]
         assert seconds < 5, f"took {seconds:.1f} s"
         assert rss_mb < 200, f"peak RSS {rss_mb:.0f} MiB"
 
