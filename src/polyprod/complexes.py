@@ -291,13 +291,13 @@ class SimplicialComplex:
 
     def facets(self) -> list[int]:
         """Maximal faces, sorted by (size, mask)."""
-        # f is maximal iff adding any one ground vertex outside f leaves the
-        # family.  When the ground's codes are few enough (the rule of
-        # from_facets), that is one pass per vertex j on the bitset of the
-        # codes over the ground, marking c when c + 2^j is present; else one
-        # lookup per face and vertex
+        # f is maximal iff adding any one vertex outside f leaves the family,
+        # over the ground and any vertex an unvalidated face has outside it.
+        # When their codes are few enough (the rule of from_facets), that is
+        # one pass per vertex j on the bitset of the codes, marking c when
+        # c + 2^j is present; else one lookup per face and vertex
         faces = self.faces
-        g = self.ground
+        g = self.ground | self.support()
         n = g.bit_count()
         if 1 << n <= CLOSURE_BITSET_RATIO * len(faces):
             present = _code_bitset(_codes_over(faces, g), n)
@@ -519,32 +519,20 @@ def enumerate_complexes(ground):
     """All simplicial complexes on a ground set (at most 4 vertices).
 
     Yields the void complex first, then every downward-closed family
-    containing the empty face, in a fixed deterministic order.
+    containing the empty face, in ascending order of its code: bit i of
+    the code puts in the nonempty subset of ground code i + 1.
     """
     g = _as_mask(ground)
     n = g.bit_count()
     if n > 4:
         raise ValueError("exhaustive enumeration is limited to 4 vertices")
-    nonempty = _expand(g)[1:]
+    clear = _clear_codes(n)
     yield SimplicialComplex.void(g)
-    for code in range(1 << len(nonempty)):
-        fam = {0}
-        for i, s in enumerate(nonempty):
-            if code >> i & 1:
-                fam.add(s)
-        ok = True
-        for f in fam:
-            x = f
-            while x:
-                low = x & -x
-                if f ^ low not in fam:
-                    ok = False
-                    break
-                x ^= low
-            if not ok:
-                break
-        if ok:
-            yield SimplicialComplex(g, frozenset(fam))
+    for code in range(1 << (1 << n) - 1):
+        # bit c: code c is a face; closed when no vertex pass adds a face
+        present = code << 1 | 1
+        if not any((present >> (1 << j)) & z & ~present for j, z in enumerate(clear)):
+            yield SimplicialComplex(g, frozenset(_bitset_masks(present, g)))
 
 
 def random_complex(rng, ground) -> SimplicialComplex:

@@ -7,8 +7,10 @@ where degree d carries reduced degree d-1.  The duality witness realizes,
 at chain level, the isomorphism between the slice homology of K and the
 complementary-degree slice cohomology of the Alexander dual: the signed
 bijection eta -> omega minus eta between non-faces of the slice and faces
-of the dual slice.  It checks a pair on windows of two face bitsets read
-once per complex and its dual, and builds the signed map only when read.
+of the dual slice, with the sign of the shuffle putting sorted(eta) before
+sorted(omega minus eta).  It checks a pair on windows of two face bitsets
+read once per complex and its dual, and builds the signed map only when
+read.
 """
 
 from __future__ import annotations
@@ -142,25 +144,6 @@ class DualityCheckError(AssertionError):
     """A structural duality identity failed to verify."""
 
 
-# one code table per omega size; benchmark complexes have at most 9 vertices
-CODE_LEVEL_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=CODE_LEVEL_CACHE_SIZE)
-def _code_levels(n: int):
-    # for an omega of n vertices, level k lists in ascending order the codes
-    # c of the k-subsets eta with the sign of the merge of sorted(eta) before
-    # sorted(omega - eta); putting position i into a code c below 2^i passes
-    # the i - popcount(c) positions below i left out of c
-    parity = [0]
-    for i in range(n):
-        parity += [p ^ (i - c.bit_count()) & 1 for c, p in enumerate(parity)]
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for c, p in enumerate(parity):
-        levels[c.bit_count()].append((c, -1 if p else 1))
-    return tuple(tuple(level) for level in levels)
-
-
 @dataclass(frozen=True)
 class DualityWitness:
     """A verified signed bijection between a slice pair and its dual.
@@ -186,18 +169,19 @@ class DualityWitness:
 
     @cached_property
     def taking(self) -> tuple[tuple[int, tuple[tuple[int, tuple[int, int]], ...]], ...]:
-        # the subset of omega with code c over omega has the mask ex[c] and
-        # the code tx[c] over K's ground
+        # each subset eta of omega, with t its code over K's ground, in
+        # ascending order; its sign is that of the shuffle putting
+        # sorted(eta) before sorted(omega - eta), one inversion per y in
+        # omega - eta below an x in eta
         w = self.omega
-        ex, tx = _expand(w), _expand(self.omega_code)
         flags = format(self.nonfaces, "b").zfill(self.omega_code + 1)[::-1]
-        taking = []
-        for k, level in enumerate(_code_levels(w.bit_count())):
-            items = tuple([(ex[c], (w ^ ex[c], sign)) for c, sign in level
-                           if flags[tx[c]] == "1"])
-            if items:
-                taking.append((k - 1, items))
-        return tuple(taking)
+        taking: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+        for eta, t in zip(_expand(w), _expand(self.omega_code)):
+            if flags[t] == "1":
+                inversions = sum((eta & -(y << 1)).bit_count() for y in _bits_of(w ^ eta))
+                taking.setdefault(eta.bit_count() - 1, []).append(
+                    (eta, (w ^ eta, -1 if inversions & 1 else 1)))
+        return tuple((d, tuple(items)) for d, items in sorted(taking.items()))
 
     @cached_property
     def sign_profile(self) -> tuple[tuple[int, int], ...]:
@@ -208,10 +192,7 @@ class DualityWitness:
         return tuple((k, -1 if k & 1 else 1) for k in squares)
 
     def map_at(self, degree: int) -> dict[int, tuple[int, int]]:
-        for d, items in self.taking:
-            if d == degree:
-                return dict(items)
-        return {}
+        return dict(dict(self.taking).get(degree, ()))
 
 
 # The face bitsets of the last (K, dual) pair that a witness read, with

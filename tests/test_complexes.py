@@ -29,6 +29,15 @@ def faces_as_sets(K):
     return {frozenset(vertices_of(f)) for f in K.faces}
 
 
+def _facets_by_scan(K):
+    # the containment scan that facets() used to run, kept as the oracle
+    out = []
+    for f in sorted(K.faces, key=lambda f: (-f.bit_count(), f)):
+        if not any(f & g == f for g in out):
+            out.append(f)
+    return sorted(out, key=lambda f: (f.bit_count(), vertices_of(f)))
+
+
 class TestMasks:
     def test_mask_round_trip(self):
         assert mask_of([1, 3, 4]) == 0b1101
@@ -187,14 +196,6 @@ class TestConstructors:
         assert SimplicialComplex.empty_face_complex([1]).facets() == [0]
 
     def test_facets_match_the_pairwise_containment_scan(self):
-        # the containment scan that facets() used to run, kept as the oracle
-        def by_scan(K):
-            out = []
-            for f in sorted(K.faces, key=lambda f: (-f.bit_count(), f)):
-                if not any(f & g == f for g in out):
-                    out.append(f)
-            return sorted(out, key=lambda f: (f.bit_count(), vertices_of(f)))
-
         # on grounds 1..n, on gapped grounds with labels above 64, and with
         # a ghost vertex; the bitset rule of from_facets picks the path
         rng = random.Random(12)
@@ -208,10 +209,41 @@ class TestConstructors:
             K = random_complex(rng, ground)
             ghost = mask_of(ground) | 1 << 131
             for L in (K, K.dual(K.ground), K.dual(ghost)):
-                assert L.facets() == by_scan(L)
+                assert L.facets() == _facets_by_scan(L)
                 paths.add((L.ground & (L.ground + 1) == 0, 1 << L.n_vertices
                            <= complexes.CLOSURE_BITSET_RATIO * len(L.faces)))
         assert paths == {(True, True), (True, False), (False, True), (False, False)}
+
+
+    @pytest.mark.parametrize("ratio", [0, 1 << 20], ids=["scan", "bitset"])
+    def test_facets_of_faces_outside_the_ground(self, monkeypatch, ratio):
+        # unvalidated complexes whose faces leave the ground, on each path:
+        # the bitset path once read such a face's code past its bitset
+        monkeypatch.setattr(complexes, "CLOSURE_BITSET_RATIO", ratio)
+        cases = [
+            SimplicialComplex(mask_of([1]), frozenset({0, 0b10})),
+            SimplicialComplex(mask_of([2, 5]), frozenset({0, 0b1})),
+            SimplicialComplex(mask_of([1, 2]), frozenset({0, 0b1000})),
+        ]
+        rng = random.Random(19)
+        for i in range(60):
+            n = rng.randint(2, 7)
+            ground = list(range(1, n + 1)) if i % 2 else sorted(rng.sample(range(1, 80), n))
+            K = random_complex(rng, ground)
+            kept = mask_of(rng.sample(ground, rng.randint(0, n - 1)))
+            cases.append(SimplicialComplex(kept, K.faces))
+        for K in cases:
+            assert K.facets() == _facets_by_scan(K), K.faces
+        assert [K.facets() for K in cases[:3]] == [[0b10], [0b1], [0b1000]]
+
+    def test_repr_lists_the_facets(self):
+        assert repr(SimplicialComplex.void([2, 5])) == "SimplicialComplex(ground=[2, 5], void)"
+        assert repr(SimplicialComplex.empty_face_complex([1])) == (
+            "SimplicialComplex(ground=[1], facets=[[]])")
+        assert repr(make_complex([1, 2, 3, 9], [[1, 2], [2, 9], [3]])) == (
+            "SimplicialComplex(ground=[1, 2, 3, 9], facets=[[3], [1, 2], [2, 9]])")
+        assert repr(SimplicialComplex(mask_of([1]), frozenset({0, 0b10}))) == (
+            "SimplicialComplex(ground=[1], facets=[[2]])")
 
 
 class TestLocalOperations:
@@ -501,6 +533,25 @@ class TestEnumerationAndRandom:
             assert len(set(got)) == expect
             for K in got:
                 K.validate()
+
+    @pytest.mark.parametrize("ground", [[1], [1, 2], [1, 2, 3], [2, 5, 9, 11]],
+                             ids=lambda g: "-".join(map(str, g)))
+    def test_census_order_against_a_brute_force_listing(self, ground):
+        # void first, then every closed family in ascending order of the code
+        # whose bit i puts in the i-th nonempty subset of the ground (subsets
+        # ordered by their code over it)
+        nonempty = [frozenset(s) for k in range(len(ground) + 1)
+                    for s in itertools.combinations(ground, k)][1:]
+        nonempty.sort(key=lambda s: sum(1 << ground.index(v) for v in s))
+        want = [None]
+        for code in range(1 << len(nonempty)):
+            family = {frozenset()} | {s for i, s in enumerate(nonempty) if code >> i & 1}
+            if all(f - {v} in family for f in family for v in f):
+                want.append(family)
+        got = list(enumerate_complexes(mask_of(ground)))
+        assert got[0] == SimplicialComplex.void(ground)
+        assert [faces_as_sets(K) for K in got[1:]] == want[1:]
+        assert all(K.ground == mask_of(ground) for K in got)
 
     def test_enumeration_refuses_large_grounds(self):
         with pytest.raises(ValueError):

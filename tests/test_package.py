@@ -1,6 +1,9 @@
 """The package namespace and the runnable demos."""
 
+import importlib
 import importlib.util
+import pkgutil
+import re
 import runpy
 import types
 from pathlib import Path
@@ -45,3 +48,20 @@ def test_every_traced_name_exists():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_readme_lists_each_bounded_cache_with_its_bound():
+    # every bounded lru_cache defined in a polyprod module, by module.name
+    caches = {}
+    for info in pkgutil.iter_modules(polyprod.__path__):
+        module = importlib.import_module(f"polyprod.{info.name}")
+        for name, value in vars(module).items():
+            params = getattr(value, "cache_parameters", None)
+            if params and getattr(value, "__module__", None) == module.__name__:
+                if params()["maxsize"] is not None:
+                    caches[f"{info.name}.{name}"] = params()["maxsize"]
+    # README's cache table: "| `module.name` (what it holds) | bound | fill |"
+    rows = re.findall(r"^ *\| `([\w.]+)`[^|]*\| ([\d,]+) \|",
+                      (ROOT / "README.md").read_text(encoding="utf-8"), re.M)
+    assert sorted(name for name, _ in rows) == sorted(caches)
+    assert {name: int(bound.replace(",", "")) for name, bound in rows} == caches
