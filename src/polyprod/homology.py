@@ -16,10 +16,10 @@ it: one cell for the boundary of a simplex, none for a cone on v.
 One builder yields each degree's boundary as ``{row: sign}`` columns; the
 groups reduce and drop them before the next degree's are built.
 
-Smith reduction is a sparse pass over +-1 pivots followed by a dense
-diagonalisation of the small core it leaves.  Ranks, over Z or a field, are
-read off that diagonal; the torsion is put into invariant-factor form once,
-by :meth:`FgAbelianGroup.from_divisors`.
+Smith reduction is one sparse elimination, on +-1 pivots while any is left
+and else on an entry of least absolute value.  Ranks, over Z or a field, are
+read off the diagonal it leaves; the torsion is put into invariant-factor
+form once, by :meth:`FgAbelianGroup.from_divisors`.
 
 Boundary orientation: the vertices of a face are taken in increasing label
 order and deleting the i-th one carries sign (-1)^i.
@@ -75,71 +75,22 @@ def GF(p: int) -> FieldCoeff:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _dense_smith(m: list[list[int]]) -> list[int]:
-    # diagonalisation with minimal-|pivot| selection and full carry of
-    # remainders; fine for the small residual cores left by the sparse pass.
-    # The diagonal need not be a divisibility chain
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    out = []
-    t = 0
-    while t < rows and t < cols:
-        pi = pj = -1
-        best = 0
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(m[i][j])
-                if v and (best == 0 or v < best):
-                    best = v
-                    pi, pj = i, j
-        if best == 0:
-            break
-        m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        dirty = True
-        while dirty:
-            p = m[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // p
-                    if q:
-                        ri, rt = m[i], m[t]
-                        for j in range(t, cols):
-                            ri[j] -= q * rt[j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // p
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-        out.append(abs(m[t][t]))
-        t += 1
-    return out
+def _least_entry(col_entries) -> tuple[int, int]:
+    # (column, row) of the entry of least |value|, ties by column, then row
+    return min((abs(v), j, i) for j, c in col_entries.items() for i, v in c.items())[1:]
 
 
 def _invariant_factors(columns) -> list[int]:
     """Nonzero diagonal of a diagonal form of a sparse integer matrix.
 
     Each column is a dict ``{row: value}``, used up by the reduction.  A
-    unit pass strips +-1 pivots first, then the dense reduction diagonalises
-    whatever small core remains.  The result is a 1 per unit pivot followed
-    by the core's diagonal: its length is the rank and its product is the
-    product of the invariant factors, but it need not be a divisibility
-    chain; :meth:`FgAbelianGroup.from_divisors` turns it into one.
+    step with pivot p at (i, j) subtracts ``c[i] // p`` times column j from
+    each other column c with an entry in row i; once row i holds p alone,
+    the rest of column j is reduced mod p.  If p is then alone in its
+    column, |p| joins the result and row i and column j go.  The result's
+    length is the rank and its product is the product of the invariant
+    factors, but it need not be a divisibility chain;
+    :meth:`FgAbelianGroup.from_divisors` turns it into one.
 
     Pivot rule: the pivot column is the first remaining column, in column
     order, that holds a +-1 entry; within it the unit of least Markowitz
@@ -150,7 +101,9 @@ def _invariant_factors(columns) -> list[int]:
     in nearly every column (sparse elimination ordering as in Dumas,
     Saunders and Villard, JSC 2001).  A heap of column indices finds that
     column without rescanning: a column leaves the heap when it is found
-    unitless and rejoins it when an elimination changes it.
+    unitless and rejoins it when a step changes it.  With no unit left the
+    pivot is the entry of least |value| (:func:`_least_entry`); a step that
+    retires no pivot leaves a smaller entry, so the reduction ends.
     """
     col_entries: dict[int, dict[int, int]] = {}
     row_cols: dict[int, set[int]] = {}
@@ -161,33 +114,40 @@ def _invariant_factors(columns) -> list[int]:
                 row_cols.setdefault(i, set()).add(j)
     waiting = list(col_entries)  # ascending, hence already a heap
     queued = set(waiting)
-    units = 0
-    while waiting:
-        j = heappop(waiting)
-        queued.discard(j)
-        piv_col = col_entries.get(j)
-        if piv_col is None:
-            continue
-        lc = len(piv_col) - 1
-        i = None
-        best_cost = None
-        for r, w in piv_col.items():
-            if w == 1 or w == -1:
-                cost = (len(row_cols[r]) - 1) * lc
-                if best_cost is None or cost < best_cost:
-                    i = r
-                    best_cost = cost
-                    if cost == 0:
-                        break
-        if i is None:
-            continue
-        del col_entries[j]
-        v = piv_col.pop(i)
-        row_cols[i].discard(j)
-        for j2 in list(row_cols[i]):
+    out = []
+    while col_entries:
+        if waiting:
+            j = heappop(waiting)
+            queued.discard(j)
+            piv_col = col_entries.get(j)
+            if piv_col is None:
+                continue
+            lc = len(piv_col) - 1
+            i = None
+            best_cost = None
+            for r, w in piv_col.items():
+                if w == 1 or w == -1:
+                    cost = (len(row_cols[r]) - 1) * lc
+                    if best_cost is None or cost < best_cost:
+                        i = r
+                        best_cost = cost
+                        if cost == 0:
+                            break
+            if i is None:
+                continue
+        else:
+            j, i = _least_entry(col_entries)
+            piv_col = col_entries[j]
+        p = piv_col.pop(i)
+        row = row_cols[i]
+        row.discard(j)
+        for j2 in list(row):
             c2 = col_entries[j2]
-            mult = c2.pop(i) * v
-            row_cols[i].discard(j2)
+            mult, rest = divmod(c2.pop(i), p)
+            if rest:
+                c2[i] = rest
+            else:
+                row.discard(j2)
             for i2, w in piv_col.items():
                 nv = c2.get(i2, 0) - mult * w
                 if nv:
@@ -202,27 +162,36 @@ def _invariant_factors(columns) -> list[int]:
             elif j2 not in queued:
                 queued.add(j2)
                 heappush(waiting, j2)
+        unit = p == 1 or p == -1
+        if not unit and not row:
+            for i2, w in list(piv_col.items()):
+                w %= p
+                if w:
+                    piv_col[i2] = w
+                else:
+                    del piv_col[i2]
+                    row_cols[i2].discard(j)
+        if row or not unit and piv_col:
+            # a remainder below |p| is left in row i or column j
+            piv_col[i] = p
+            row.add(j)
+            queued.add(j)
+            heappush(waiting, j)
+            continue
+        del col_entries[j]
         for i2 in piv_col:
             row_cols[i2].discard(j)
-        units += 1
-    if not col_entries:
-        return [1] * units
-    rows_left = sorted({i for c in col_entries.values() for i in c})
-    rmap = {i: a for a, i in enumerate(rows_left)}
-    dense = [[0] * len(col_entries) for _ in rows_left]
-    for b, (_, c) in enumerate(sorted(col_entries.items())):
-        for i, v in c.items():
-            dense[rmap[i]][b] = v
-    return [1] * units + _dense_smith(dense)
+        out.append(abs(p))
+    return out
 
 
 def smith_normal_form(matrix) -> list[int]:
     """Invariant factors d1 | d2 | ... of a dense integer matrix.
 
     Only the nonzero diagonal entries are returned, so the length of the
-    result is the rank.  The matrix is brought to a diagonal form first;
-    :meth:`FgAbelianGroup.from_divisors` turns that diagonal into the
-    invariant-factor chain.
+    result is the rank.  :func:`_invariant_factors` brings the matrix to a
+    diagonal form first; :meth:`FgAbelianGroup.from_divisors` turns that
+    diagonal into the invariant-factor chain.
     """
     matrix = [list(row) for row in matrix]
     ncols = len(matrix[0]) if matrix else 0
