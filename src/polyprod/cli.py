@@ -163,7 +163,7 @@ def _cmd_hochster(args) -> int:
     pairs = None if args.pairs == "all" else _parse_hochster_pairs(args.pairs)
     table = hochster_table(K, coeff, pairs=pairs, cohomology=args.cohomology)
     lines = []
-    for (sigma, omega), g in table.items():
+    for (sigma, omega), g in table.nonzero_items():
         for d, grp in g.groups:
             lines.append(
                 f"sigma={_mask_text(sigma)} omega={_mask_text(omega)} "

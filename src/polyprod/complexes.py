@@ -158,6 +158,14 @@ def _close_codes(codes, support: int):
     return _bitset_masks(present, support)
 
 
+def _codes_closed(present: int, n: int) -> bool:
+    # whether the family of the codes set in ``present``, over n vertices,
+    # is closed downward: no pass for a vertex j finds a code c with bit j
+    # set whose c - 2^j is missing
+    return not any((present >> (1 << j)) & clear & ~present
+                   for j, clear in enumerate(_clear_codes(n)))
+
+
 def _move_faces(faces, bit_map: dict[int, int]) -> list[int]:
     # each face with every bit b replaced by bit_map[b]
     out = []
@@ -526,12 +534,11 @@ def enumerate_complexes(ground):
     n = g.bit_count()
     if n > 4:
         raise ValueError("exhaustive enumeration is limited to 4 vertices")
-    clear = _clear_codes(n)
     yield SimplicialComplex.void(g)
     for code in range(1 << (1 << n) - 1):
-        # bit c: code c is a face; closed when no vertex pass adds a face
+        # bit c: code c is a face
         present = code << 1 | 1
-        if not any((present >> (1 << j)) & z & ~present for j, z in enumerate(clear)):
+        if _codes_closed(present, n):
             yield SimplicialComplex(g, frozenset(_bitset_masks(present, g)))
 
 

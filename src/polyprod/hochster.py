@@ -3,7 +3,9 @@
 For a complex K on a ground set, the table entry at a disjoint pair
 (sigma, omega) holds the reduced homology of the slice K_{sigma,omega}
 (the link of sigma restricted to omega), stored in the internal grading
-where degree d carries reduced degree d-1.  The duality witness realizes,
+where degree d carries reduced degree d-1.  A table keeps only its nonzero
+entries, by face of K, and lists its pairs as they are read.  The duality
+witness realizes,
 at chain level, the isomorphism between the slice homology of K and the
 complementary-degree slice cohomology of the Alexander dual: the signed
 bijection eta -> omega minus eta between non-faces of the slice and faces
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .abelian import GradedGroup, tensor_additive
 from .complexes import (
     SimplicialComplex,
     _as_mask,
+    _bitset_masks,
     _bits_of,
     _code_bitset,
     _codes_over,
@@ -32,6 +35,7 @@ from .complexes import (
     _positions,
     _require_in_ground,
     composition_complex,
+    submasks,
     vertices_of,
 )
 from .homology import FieldCoeff, homology_of_faces, reduced_homology
@@ -50,35 +54,138 @@ def index_pairs(ground) -> list[tuple[int, int]]:
     return pairs
 
 
-# reused by the tables of a complex and its dual, which share one ground
-_pair_order = lru_cache(maxsize=32)(lambda ground: tuple(index_pairs(ground)))
+def _pair_stream(ground: int):
+    # index_pairs(ground) one pair at a time, from the pairs of the low and
+    # of the high half of the ground's vertices: 2 * 3^(n/2) pairs held
+    bits = _bits_of(ground)
+    low = index_pairs(sum(bits[:len(bits) // 2]))
+    for hs, hw in index_pairs(sum(bits[len(bits) // 2:])):
+        for ls, lw in low:
+            yield hs | ls, hw | lw
+
+
+def _pair_rank(ground: int):
+    # the position of a pair in index_pairs(ground): the codes of sigma and
+    # omega over the ground, read as base-3 numerals, are its 1 and 2 digits
+    def rank(pair):
+        sigma, omega = _codes_over(pair, ground)
+        return int(f"{sigma:b}", 3) + 2 * int(f"{omega:b}", 3)
+    return rank
+
+
+_ZERO = GradedGroup()
 
 
 class BigradedTable:
-    """Slice homology groups of one complex, indexed by disjoint pairs.
+    """Slice homology groups of one complex, stored by face.
 
-    Iteration order of :meth:`items` is the enumeration order the table was
-    built with; lookups go through a dict.
+    ``links`` maps a face sigma of K to its link support S (the vertices v
+    outside sigma with sigma + v a face) and the nonzero entries at
+    (sigma, w) for w inside S, by w.  The entry at (sigma, omega) is the
+    one at (sigma, omega & S), and zero when sigma is not a face: the
+    slice at omega has the faces of the slice at omega & S.  ``pairs`` is
+    None for a table over every disjoint pair of the ground, in the base-3
+    order of :func:`index_pairs`, or the requested pairs in their order.
     """
 
-    def __init__(self, ground: int, entries, cohomology: bool = False):
+    def __init__(self, ground: int, links, cohomology: bool = False, pairs=None):
         self.ground = ground
-        self.entries = tuple(entries)
+        self.links = links
         self.cohomology = cohomology
-        self._index = dict(self.entries)
+        self.pairs = pairs
+        self._pair_set = None if pairs is None else frozenset(pairs)
+
+    def _at(self, sigma: int, omega: int) -> GradedGroup:
+        link = self.links.get(sigma)
+        return _ZERO if link is None else link[1].get(omega & link[0], _ZERO)
 
     def entry(self, sigma, omega) -> GradedGroup:
         key = (_as_mask(sigma), _as_mask(omega))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"pair {key} is not in the table") from None
+        if self._pair_set is None:
+            held = not key[0] & key[1] and not (key[0] | key[1]) & ~self.ground
+        else:
+            held = key in self._pair_set
+        if not held:
+            raise KeyError(f"pair {key} is not in the table")
+        return self._at(*key)
 
-    def items(self):
-        return self.entries
+    def items(self) -> "_TableItems":
+        """Every (pair, entry) in table order, built as it is read."""
+        return _TableItems(self)
 
-    def nonzero_items(self):
-        return tuple((k, g) for k, g in self.entries if not g.is_zero)
+    def _nonzero(self):
+        # the nonzero (pair, entry) items in no particular order; over all
+        # pairs, each stored (sigma, w) stands for (sigma, w + x) with x
+        # any set of vertices outside sigma and its link support
+        if self.pairs is not None:
+            return [(p, g) for p, g in self.items() if g.groups]
+        out = []
+        for sigma, (support, found) in self.links.items():
+            if found:
+                rest = submasks(self.ground & ~sigma & ~support)
+                out += [((sigma, w | x), g) for w, g in found.items() for x in rest]
+        return out
+
+    def nonzero_items(self) -> tuple:
+        """The nonzero (pair, entry) items, in table order."""
+        items = self._nonzero()
+        if self.pairs is None:
+            rank = _pair_rank(self.ground)
+            items.sort(key=lambda item: rank(item[0]))
+        return tuple(items)
+
+
+class _TableItems:
+    """A sized view of a table's items: each entry is looked up as it is read."""
+
+    def __init__(self, table: BigradedTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        t = self._table
+        return 3 ** t.ground.bit_count() if t.pairs is None else len(t.pairs)
+
+    def __iter__(self):
+        t = self._table
+        at = t._at
+        for pair in _pair_stream(t.ground) if t.pairs is None else t.pairs:
+            yield pair, at(*pair)
+
+
+def _slice_bitsets(faces, sigma: int, subsets) -> list[int]:
+    """The slices of a face sigma at each of ``subsets``, as bitsets.
+
+    ``subsets`` is ``submasks(span)`` of some span.  Entry c is the slice
+    at (sigma, omega), omega the subset of code c: bit i is set when the
+    subset of code i of omega is in the slice.  The set bits are the codes
+    of the slice's faces, which :func:`homology_of_faces` takes as they
+    are.  Entry c starts as the flag of sigma + omega being a face; the
+    pass for code bit j then appends, in place, to each omega holding the
+    vertex v of that bit, the slice of sigma + v at omega - v after the
+    slice of sigma there.  A span of k vertices costs k 2^(k-1)
+    big-integer steps in all, where listing each slice's codes one by one
+    costs 3^k.
+    """
+    bitsets = [sigma | e in faces for e in subsets]
+    size = len(bitsets)
+    shifts = [1]  # entry o: 2^|o|, the shift at offset o of a run of the pass
+    h = 1  # the code bit of the pass
+    while h < size:
+        step = 2 * h
+        # the codes with bit h set come as size / step runs of h codes; the
+        # pass goes run by run or, while runs outnumber their codes, by
+        # offset within the runs
+        if h * step <= size:
+            for o, s in enumerate(shifts):
+                bitsets[h + o::step] = [lo | hi << s for lo, hi in zip(
+                    bitsets[o::step], bitsets[h + o::step])]
+        else:
+            for top in range(h, size, step):
+                bitsets[top:top + h] = [lo | hi << s for lo, hi, s in zip(
+                    bitsets[top - h:top], bitsets[top:top + h], shifts)]
+        shifts += [s << 1 for s in shifts]
+        h = step
+    return bitsets
 
 
 def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
@@ -91,50 +198,54 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     void, giving zero entries; the entry at (sigma, empty) is Z at degree
     0 exactly when sigma is a face.
 
-    The link support of each face sigma (the v with sigma + v a face) is
-    computed once.  The slice at (sigma, omega) has the faces of the slice
-    at omega cut down to that support, so the two pairs share one entry.
-    Its faces go to :func:`homology_of_faces` as their codes as subsets of
-    the cut-down omega: a family on vertices 1..k, already in the cache's
-    canonical form.
+    Over all pairs the table walks the faces sigma of K, not the 3^n pairs:
+    it computes the link support S of each face once and the slice at each
+    w inside S (:func:`_slice_bitsets`), and keeps the nonzero entries.
+    The slice at (sigma, omega) has the faces of the slice at
+    (sigma, omega & S), so the two pairs share one entry.  Requested pairs
+    compute only their own slices.  Each distinct slice goes to
+    :func:`homology_of_faces` once, as the codes of its faces as subsets of
+    w: a family on vertices 1..|w|, already in the cache's canonical form.
     """
-    if pairs is None:
-        pair_list = _pair_order(K.ground)
-    else:
-        pair_list = [(_as_mask(s), _as_mask(w)) for s, w in pairs]
-        for s, w in pair_list:
-            if s & w:
-                raise ValueError("table pairs must have disjoint sides")
-            _require_in_ground(K.ground, s | w, "pair")
     faces = K.faces
-    empty = GradedGroup()
-    # per face sigma: its link support and the entries computed so far, by
-    # omega cut down to that support; False for a non-face
-    links: dict[int, tuple[int, dict[int, GradedGroup]] | bool] = {}
-    shifted: dict[tuple[int, ...], GradedGroup] = {}
-    rows = []
-    for pair in pair_list:
-        sigma, omega = pair
-        link = links.get(sigma)
-        if link is None:
-            link = links[sigma] = sigma in faces and (
-                _link_support(faces, sigma, K.ground & ~sigma), {})
-        if not link:
-            rows.append((pair, empty))
-            continue
-        # the slices at omega and at omega inside the link support have the
-        # same faces; their codes in the latter cover every vertex of it
-        support, computed = link
-        w = omega & support
-        g = computed.get(w)
+    ground = K.ground
+    shifted: dict[int, GradedGroup] = {}
+
+    def group(bitset: int, width: int) -> GradedGroup:
+        # the entry of a slice of ``width`` vertices, by its bitset
+        g = shifted.get(bitset)
         if g is None:
-            key = tuple([c for c, e in enumerate(_expand(w)) if sigma | e in faces])
-            g = shifted.get(key)
-            if g is None:
-                g = shifted[key] = homology_of_faces(key, coeff, cohomology).shift(1)
-            computed[w] = g
-        rows.append((pair, g))
-    return BigradedTable(K.ground, tuple(rows), cohomology)
+            key = tuple(_bitset_masks(bitset, (1 << width) - 1))
+            g = shifted[bitset] = homology_of_faces(key, coeff, cohomology).shift(1)
+        return g
+
+    links: dict[int, tuple[int, dict[int, GradedGroup]]] = {}
+    if pairs is None:
+        for sigma in sorted(faces):
+            support = _link_support(faces, sigma, ground & ~sigma)
+            subsets = submasks(support)
+            found = links[sigma] = (support, {})
+            for w, b in zip(subsets, _slice_bitsets(faces, sigma, subsets)):
+                g = group(b, w.bit_count())
+                if g.groups:
+                    found[1][w] = g
+        return BigradedTable(ground, links, cohomology)
+    pair_list = [(_as_mask(s), _as_mask(w)) for s, w in pairs]
+    for s, w in pair_list:
+        if s & w:
+            raise ValueError("table pairs must have disjoint sides")
+        _require_in_ground(ground, s | w, "pair")
+    for s, w in pair_list:
+        if s not in faces:
+            continue
+        if s not in links:
+            links[s] = (_link_support(faces, s, ground & ~s), {})
+        support, found = links[s]
+        w &= support
+        g = group(_slice_bitsets(faces, s, _expand(w))[-1], w.bit_count())
+        if g.groups:
+            found[w] = g
+    return BigradedTable(ground, links, cohomology, tuple(pair_list))
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +409,26 @@ def slice_duality_mismatches(table: BigradedTable,
     ``(sigma, omega, (d, lhs, rhs))`` for each pair, in table order, where
     that fails, with d the first failing degree; nothing for a pair that
     agrees.
+
+    Over all pairs only the pairs where either side is nonzero can fail:
+    the nonzero entries of ``table`` and the complements of the nonzero
+    entries of ``dual_cohomology``, sorted into table order.
     """
     g = table.ground
-    index = dual_cohomology._index
-    for (sigma, omega), lhs in table.items():
-        if not omega:
-            continue
-        rhs = index[g & ~(sigma | omega), omega]
+    if table.pairs is None:
+        candidates = {p for p, _ in table._nonzero() if p[1]}
+        candidates.update((g & ~(tau | omega), omega)
+                          for (tau, omega), _ in dual_cohomology._nonzero() if omega)
+        candidates = sorted(candidates, key=_pair_rank(g))
+    else:
+        candidates = [p for p in table.pairs if p[1]]
+    for sigma, omega in candidates:
+        lhs = table._at(sigma, omega)
+        rhs = dual_cohomology.entry(g & ~(sigma | omega), omega)
         wsize = omega.bit_count()
         if lhs.groups == tuple((wsize - e - 1, grp) for e, grp in reversed(rhs.groups)):
             continue
-        for d in set(lhs.degrees()) | {wsize - e - 1 for e in rhs.degrees()}:
+        for d in sorted({*lhs.degrees(), *(wsize - e - 1 for e in rhs.degrees())}):
             if lhs.at(d) != rhs.at(wsize - d - 1):
                 yield sigma, omega, (d, lhs.at(d), rhs.at(wsize - d - 1))
                 break
@@ -414,6 +534,8 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
     table_k = hochster_table(K, coeff)
     tables_l = [hochster_table(L, coeff) for L in factors]
     blocks = [L.ground for L in factors]
+    # pairs share their tuples of entries, so each distinct one is tensored once
+    tensors: dict[tuple[GradedGroup, ...], GradedGroup] = {}
     verdicts = []
     for (sigma, omega), lhs in table_s.items():
         sig_parts = _block_split(sigma, blocks)
@@ -424,9 +546,12 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
         for i, L in enumerate(factors):
             if om_parts[i]:
                 omega_hat |= bits[i]
-                tensor_parts.append(tables_l[i]._index[sig_parts[i], om_parts[i]])
+                tensor_parts.append(tables_l[i]._at(sig_parts[i], om_parts[i]))
             elif sig_parts[i] not in L.faces:
                 sigma_hat |= bits[i]
-        rhs = tensor_additive([table_k._index[sigma_hat, omega_hat]] + tensor_parts)
+        parts = (table_k._at(sigma_hat, omega_hat), *tensor_parts)
+        rhs = tensors.get(parts)
+        if rhs is None:
+            rhs = tensors[parts] = tensor_additive(parts)
         verdicts.append(PieceVerdict(sigma, omega, lhs, rhs))
     return PieceReport(tuple(verdicts))

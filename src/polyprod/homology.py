@@ -34,9 +34,12 @@ from heapq import heappop, heappush
 
 from .abelian import FgAbelianGroup, GradedGroup, _factorint
 from .complexes import (
+    CLOSURE_BITSET_RATIO,
     SimplicialComplex,
     _as_mask,
     _bits_of,
+    _code_bitset,
+    _codes_closed,
     _codes_over,
     submasks,
     vertices_of,
@@ -316,13 +319,28 @@ HOMOLOGY_DATA_CACHE_SIZE = 4096
 GROUPS_CACHE_SIZE = 8192
 
 
+def _require_closed(key: tuple[int, ...], faces: set[int]) -> None:
+    # a canonical family on vertices 1..k, ascending: the census's test on
+    # the bitset of its codes when 2^k is at most CLOSURE_BITSET_RATIO times
+    # the faces, else one lookup per face and vertex
+    k = key[-1].bit_length() if key else 0
+    if 1 << k <= CLOSURE_BITSET_RATIO * len(key):
+        closed = _codes_closed(_code_bitset(key, k), k)
+    else:
+        closed = all(f ^ b in faces for f in key for b in _bits_of(f))
+    if not closed:
+        raise ValueError("the face family is not closed downward")
+
+
 @lru_cache(maxsize=HOMOLOGY_DATA_CACHE_SIZE)
 def _homology_data(key: tuple[int, ...]):
     # key is a canonical face-mask family, read modulo the closed star of
     # its vertex 1 (mask 1).  The star is a cone, so H_n(K, st 1) is the
     # reduced (co)homology of K over any coefficients.  Void and {0} have no
-    # vertex, so their star is empty and they stay unreduced
+    # vertex, so their star is empty and they stay unreduced.  A family not
+    # closed downward is refused before the quotient, which could hide it
     faces = set(key)
+    _require_closed(key, faces)
     return _smith_data(key, {f for f in key if f | 1 in faces})
 
 
@@ -333,7 +351,10 @@ def _groups_from_key(key, coeff, cohomology) -> GradedGroup:
 
 def homology_of_faces(faces, coeff: FieldCoeff | None = None,
                       cohomology: bool = False) -> GradedGroup:
-    """Reduced (co)homology of a raw face-mask family."""
+    """Reduced (co)homology of a raw face-mask family.
+
+    Raises ValueError when the family is not closed downward.
+    """
     return _groups_from_key(_canonical_faces(faces), coeff, cohomology)
 
 

@@ -249,8 +249,8 @@ def sphere_pair_homology(K: SimplicialComplex,
             t = system.shift_of(bits, sigma, 0)
             ledger.append(LedgerEntry("hat_rel", sigma, None, t, 0, z1, t))
     bar: dict[int, FgAbelianGroup] = {}
-    for (sigma, omega), g in hochster_table(K).items():
-        if not omega or g.is_zero:
+    for (sigma, omega), g in hochster_table(K).nonzero_items():
+        if not omega:
             continue
         t = system.shift_of(bits, sigma, omega)
         for d, grp in g.groups:
@@ -277,6 +277,7 @@ def sphere_pair_duality_check(K: SimplicialComplex,
     * every bar entry of K at (sigma, omega), internal degree d, matches the
       complement's cohomology bar entry at (complement sigma, omega) in
       internal degree |omega| - d - 1;
+    * the dual's slices are closed downward, so that its table exists;
     * hats pair one to one with the complement's 'hat_rel' classes under
       sigma -> complement of sigma: K and its dual D have 2^n faces between
       them, and the complement of no face of K is a face of D.
@@ -295,8 +296,13 @@ def sphere_pair_duality_check(K: SimplicialComplex,
     """
     bits = _positions(K.ground, system.params, "sphere pairs")
     dual = K.dual(K.ground)
+    try:
+        co_dual = hochster_table(dual, cohomology=True)
+    except ValueError as e:
+        # a dual with a slice that is not closed downward is no dual
+        return Verdict(False, f"dual slice table refused: {e}")
     for sigma, omega, (d, lhs, rhs) in slice_duality_mismatches(
-        hochster_table(K), hochster_table(dual, cohomology=True)
+        hochster_table(K), co_dual
     ):
         return Verdict(
             False,

@@ -1,5 +1,6 @@
 """Bigraded tables, the duality witness, and the composition formulas."""
 
+import functools
 import gc
 import itertools
 import random
@@ -10,12 +11,12 @@ import pytest
 from polyprod.abelian import FgAbelianGroup, GradedGroup, Z_GROUP
 from polyprod.complexes import (
     SimplicialComplex,
+    make_complex,
     mask_of,
     random_complex,
     vertices_of,
 )
 from polyprod.hochster import (
-    BigradedTable,
     DualityCheckError,
     alexander_duality_witness,
     composition_homology,
@@ -42,6 +43,23 @@ def two_points():
     return SimplicialComplex.boundary_simplex(range(1, 3))
 
 
+def _counter_pairs(ground):
+    # every disjoint pair, counting in base 3 with the smallest ground
+    # vertex as the least significant digit (1: sigma, 2: omega)
+    bits = [1 << (v - 1) for v in vertices_of(ground)]
+    out = []
+    for code in range(3 ** len(bits)):
+        sigma = omega = 0
+        for b in bits:
+            code, digit = divmod(code, 3)
+            if digit == 1:
+                sigma |= b
+            elif digit == 2:
+                omega |= b
+        out.append((sigma, omega))
+    return out
+
+
 class TestIndexPairs:
     def test_base3_order_on_two_vertices(self):
         got = list(index_pairs(mask_of([1, 2])))
@@ -60,18 +78,17 @@ class TestIndexPairs:
         *(mask_of(range(1, n + 1)) for n in range(6)), mask_of([2, 4, 5]),
     ])
     def test_matches_a_divmod_counter(self, ground):
-        bits = [1 << (v - 1) for v in vertices_of(ground)]
-        want = []
-        for code in range(3 ** len(bits)):
-            sigma = omega = 0
-            for b in bits:
-                code, digit = divmod(code, 3)
-                if digit == 1:
-                    sigma |= b
-                elif digit == 2:
-                    omega |= b
-            want.append((sigma, omega))
-        assert index_pairs(ground) == want
+        assert index_pairs(ground) == _counter_pairs(ground)
+
+    @pytest.mark.parametrize("ground", [
+        *(mask_of(range(1, n + 1)) for n in range(8)), mask_of([2, 4, 5]),
+        mask_of([1, 3, 4, 7, 9]),
+    ])
+    def test_table_items_come_in_counter_order(self, ground):
+        K = SimplicialComplex.boundary_simplex(vertices_of(ground))
+        items = hochster_table(K).items()
+        assert len(items) == 3 ** ground.bit_count()
+        assert [pair for pair, _ in items] == _counter_pairs(ground)
 
     def test_pairs_are_disjoint_and_inside_ground(self):
         g = mask_of([2, 4, 5])
@@ -252,26 +269,58 @@ class TestWitnessAgainstMergeInversions:
                 assert got == want, (K, sigma, omega)
 
 
+def _large_scan_corpus():
+    # seeded random complexes of 4-12 facets of 2-5 vertices on 8 and 9
+    # vertices, the last on a ground with a ghost vertex 10
+    rng = random.Random(9021)
+    out = []
+    for n in (8, 8, 9, 9):
+        facets = [rng.sample(range(1, n + 1), rng.randint(2, 5))
+                  for _ in range(rng.randint(4, 12))]
+        out.append(make_complex(range(1, n + 1), facets))
+    K = out.pop()
+    return out + [SimplicialComplex(K.ground | 1 << 9, K.faces)]
+
+
+@functools.cache
+def _face_scans(K):
+    # the faces of every slice of K by the scan, computed once for all four
+    # gradings: each face sigma keeps the faces containing it
+    scans = {}
+    for sigma in K.faces:
+        above = [f for f in K.faces if f & sigma == sigma]
+        for omega in _subsets(K.ground & ~sigma):
+            scans[sigma, omega] = frozenset(
+                f ^ sigma for f in above if f & ~(sigma | omega) == 0)
+    return scans
+
+
 class TestTableAgainstFaceScan:
     """Every table entry against the homology of a face scan written here.
 
-    The table walks codes of the subsets of omega inside the link support
-    of sigma; the scan keeps each face of K that contains sigma and lies in
-    sigma + omega, so it shares no code with the slice rule.
+    The table computes the slices of each face sigma inside its link
+    support at once, on bitsets; the scan keeps each face of K that
+    contains sigma and lies in sigma + omega, so it shares no code with
+    the slice rule.  The corpus runs up to 9 vertices.
     """
 
     @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
     @pytest.mark.parametrize("cohomology", [False, True],
                              ids=["homology", "cohomology"])
     def test_every_entry(self, coeff, cohomology):
-        for K in _scan_corpus():
-            table = dict(hochster_table(K, coeff, cohomology=cohomology).items())
+        for K in _scan_corpus() + _large_scan_corpus():
+            table = hochster_table(K, coeff, cohomology=cohomology)
+            items = list(table.items())
             pairs = list(_all_pairs(K.ground))
-            assert len(table) == len(pairs)
+            assert len(items) == len(table.items()) == len(pairs)
+            entries = dict(items)
+            scans = _face_scans(K)
             for sigma, omega in pairs:
-                scan = _slice_by_face_scan(K, sigma, omega)
+                scan = scans.get((sigma, omega), frozenset())
                 want = homology_of_faces(scan, coeff, cohomology).shift(1)
-                assert table[sigma, omega] == want, (K, sigma, omega)
+                assert entries[sigma, omega] == want, (K, sigma, omega)
+            assert table.nonzero_items() == tuple(
+                (pair, g) for pair, g in items if not g.is_zero)
 
 
 def _shuffle_sign(eta, rest):
@@ -711,7 +760,7 @@ class TestTableThroughHomologyOfFaces:
         from polyprod.homology import _canonical_faces
 
         corpus = [rp2_complex(), cone_over_rp2()]
-        before = [hochster_table(K, coeff, cohomology=cohomology).items()
+        before = [list(hochster_table(K, coeff, cohomology=cohomology).items())
                   for K in corpus]
         real = hoch.homology_of_faces
         keys = []
@@ -722,7 +771,7 @@ class TestTableThroughHomologyOfFaces:
 
         # bound the way perfbench's tracer binds it
         monkeypatch.setattr(hoch, "homology_of_faces", counting)
-        after = [hochster_table(K, coeff, cohomology=cohomology).items()
+        after = [list(hochster_table(K, coeff, cohomology=cohomology).items())
                  for K in corpus]
         assert keys
         assert after == before
@@ -783,13 +832,20 @@ def v_entry(g: GradedGroup) -> dict:
 
 class TestBigradedTableContainer:
     def test_entry_error_message(self):
-        table = BigradedTable(mask_of([1]), (((0, 0), GradedGroup()),))
+        K = SimplicialComplex.empty_face_complex(mask_of([1]))
+        table = hochster_table(K, pairs=[((), ())])
         with pytest.raises(KeyError, match="not in the table"):
             table.entry((1,), ())
+        full = hochster_table(K)
+        for sigma, omega in (((1,), (1,)), ((2,), ()), ((), (2,))):
+            with pytest.raises(KeyError, match="not in the table"):
+                full.entry(sigma, omega)
 
     def test_nonzero_filtering(self):
         z = GradedGroup.from_dict({0: Z_GROUP})
-        table = BigradedTable(
-            mask_of([1]), (((0, 0), z), ((1, 0), GradedGroup()))
-        )
+        K = SimplicialComplex.empty_face_complex(mask_of([1]))
+        table = hochster_table(K, pairs=[((), ()), ((1,), ())])
+        assert list(table.items()) == [((0, 0), z), ((1, 0), GradedGroup())]
         assert table.nonzero_items() == (((0, 0), z),)
+        # over all pairs: (empty, {1}) is the empty-face complex too
+        assert hochster_table(K).nonzero_items() == (((0, 0), z), ((0, 1), z))

@@ -817,6 +817,33 @@ class TestCanonicalFaces:
             assert homology._canonical_faces(faces) == _relabel_by_hand(faces)
 
 
+class TestFamiliesNotClosedDownward:
+    """``homology_of_faces`` refuses a family that is not a complex."""
+
+    @pytest.mark.parametrize("faces", [
+        [0, 0b11],  # an edge without its vertices
+        [0, 1, 7],  # a triangle with one vertex
+        [1, 2],  # two vertices without the empty face
+        # a triangle without the edge {2, 3}: every face lies in the star
+        # of vertex 1, so the quotient alone would give zero
+        [0, 1, 2, 4, 3, 5, 7],
+        # 18 vertices and the edge {1, 20} over 20: one lookup per face
+        [0] + [1 << i for i in range(18)] + [1 | 1 << 19],
+    ], ids=["edge", "triangle", "no-empty-face", "star-hides-it", "wide"])
+    @pytest.mark.parametrize("cohomology", [False, True],
+                             ids=["homology", "cohomology"])
+    def test_refused(self, faces, cohomology):
+        with pytest.raises(ValueError, match="not closed downward"):
+            homology.homology_of_faces(faces, None, cohomology)
+
+    def test_closed_families_on_both_paths(self):
+        # 2^20 codes against 21 faces take the lookups, the triangle the bitset
+        star = [0] + [1 << i for i in range(20)]
+        assert homology.homology_of_faces(star) == Zg((0, FgAbelianGroup(19)))
+        assert homology.homology_of_faces([0, 1, 2, 4, 3, 5, 6]) == Zg((1, Z1))
+        assert homology.homology_of_faces([]) == GradedGroup()
+
+
 class TestSplitCertificates:
     def test_field_always_splits(self):
         A = SimplicialComplex.boundary_simplex(range(1, 4))

@@ -410,26 +410,46 @@ class TestPairingFollowsFromTablesAndCount:
     no face of K whose complement is a face of the dual.  Here every K on
     1-3 vertices meets every family D of subsets, closed or not; the
     partner loop the check once ran is the oracle on each (K, D) that
-    passes the tables and the count.
+    passes the tables and the count.  A family with a slice that is not
+    closed downward has no table, and the check fails on it.
     """
 
     def test_every_family_on_up_to_three_vertices(self):
-        passing = 0
+        passing = refused = 0
         for n in (1, 2, 3):
             g = mask_of(range(1, n + 1))
             subsets = submasks(g)
             families = [frozenset(s for i, s in enumerate(subsets) if code >> i & 1)
                         for code in range(1 << len(subsets))]
-            tables = {D: hochster_table(SimplicialComplex(g, D), cohomology=True)
-                      for D in families}
+            tables = {}
+            for D in families:
+                try:
+                    tables[D] = hochster_table(SimplicialComplex(g, D), cohomology=True)
+                except ValueError:
+                    assert any(f & ~(1 << i) not in D
+                               for f in D for i in range(n) if f >> i & 1), D
+                    refused += 1
             for K in enumerate_complexes(g):
                 table = hochster_table(K)
-                for D in families:
+                for D, co_table in tables.items():
                     if len(K.faces) + len(D) != 1 << n or any(
-                            slice_duality_mismatches(table, tables[D])):
+                            slice_duality_mismatches(table, co_table)):
                         continue
                     assert not [sigma for sigma in K.faces if g & ~sigma in D], (K, D)
                     # on so few vertices the true dual is the only such family
                     assert D == K.dual(g).faces
                     passing += 1
         assert passing == 3 + 6 + 20
+        assert refused > 0
+
+    def test_a_dual_that_is_not_closed_fails_the_check(self, monkeypatch):
+        # the true dual of a triangle boundary is {empty face}; this stand-in
+        # has the three vertices and the triangle but no edge, so its slice
+        # at (empty, ground) is not closed downward
+        K = SimplicialComplex.boundary_simplex(range(1, 4))
+        monkeypatch.setattr(
+            SimplicialComplex, "dual",
+            lambda self, amb: SimplicialComplex(self.ground, frozenset({0, 1, 2, 4, 7})))
+        v = sphere_pair_duality_check(K, SpherePairSystem.of((1, 0), (1, 1), (2, 1)))
+        assert not v.ok
+        assert v.detail == "dual slice table refused: the face family is not closed downward"

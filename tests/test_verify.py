@@ -198,6 +198,24 @@ class TestDetectionPower:
             assert lines[0] == "a face of the dual complements a face of the complex"
             assert lines[1] in ("complex:", "first:")
 
+    @pytest.mark.parametrize("name", ["alexander", "sphere-duality"])
+    def test_table_suites_fail_on_a_dual_that_is_not_closed(self, monkeypatch, name):
+        # the dual without an edge or larger face that lies in another: its
+        # slice at (empty, ground) is not closed downward and has no
+        # homology, so the trial fails on it
+        real = SimplicialComplex.dual
+
+        def broken(self, ambient):
+            d = real(self, ambient)
+            facets = set(d.facets())
+            inner = [f for f in d.faces if f.bit_count() > 1 and f not in facets]
+            return SimplicialComplex(d.ground, d.faces - {min(inner)}) if inner else d
+
+        monkeypatch.setattr(SimplicialComplex, "dual", broken)
+        result = run_suite(name, trials=20, max_vertices=5, seed=3)
+        assert len(result.failures) > 1
+        assert any("not closed downward" in t.counterexample for t in result.failures)
+
     def test_de_morgan_failures_shrink_both_complexes(self, monkeypatch):
         real = SimplicialComplex.union
 
