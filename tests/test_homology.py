@@ -474,14 +474,25 @@ class TestStarReduction:
 
 def _run_isolated(snippet, timeout):
     """Run ``snippet`` in a fresh interpreter; its output lines, seconds and
-    peak resident memory in MiB (the child prints ``ru_maxrss`` last)."""
+    peak resident memory in MiB (the child prints its peak in KiB last).
+
+    On Linux the peak is ``VmHWM``, the high-water mark of the child's own
+    address space: ``ru_maxrss`` also keeps the peak of the address space
+    the child was started from, here the test process, which can reach
+    140 MiB after the whole suite.
+    """
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    code = (snippet + "\nimport resource\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    code = (snippet + "\nimport os, resource\n"
+            "if os.path.exists('/proc/self/status'):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        print(next(line.split()[1] for line in fh"
+            " if line.startswith('VmHWM:')))\n"
+            "else:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=timeout, env=env)
@@ -575,6 +586,26 @@ class TestScale:
         assert groups == ["d3: Z^3", "d4: Z^29266"]
         assert seconds < 120, f"took {seconds:.1f} s"
         assert rss_mb < 300, f"peak RSS {rss_mb:.0f} MiB"
+
+    def test_slice_tables_and_sweep_on_12_vertices_in_100_mb(self):
+        # 531,441 pairs, 46,966 nonzero in the table and 43,004 in the
+        # dual's co-table.  On a 2-core Xeon VM under Python 3.11 the two
+        # tables and the sweep took 7-8 s and 279 MiB peak RSS with every
+        # pair stored, and take 2.4-2.9 s and 58 MiB stored by face
+        lines, seconds, rss_mb = _run_isolated(
+            "import random\n"
+            "from polyprod import hochster_table, random_complex, slice_duality_mismatches\n"
+            "K = random_complex(random.Random(7), range(1, 13))\n"
+            "table = hochster_table(K)\n"
+            "co_table = hochster_table(K.dual(K.ground), cohomology=True)\n"
+            "print(len(K.faces), len(table.items()))\n"
+            "print(len(table.nonzero_items()), len(co_table.nonzero_items()))\n"
+            "print(len(list(slice_duality_mismatches(table, co_table))))",
+            timeout=120,
+        )
+        assert lines == ["4029 531441", "46966 43004", "0"]
+        assert seconds < 8, f"took {seconds:.1f} s"
+        assert rss_mb < 100, f"peak RSS {rss_mb:.0f} MiB"
 
     def test_unitless_60_by_60_matrix_in_twenty_seconds(self):
         # entries 2, -3, 4 and zeros: no unit to pivot on until remainders
