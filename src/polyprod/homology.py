@@ -38,6 +38,8 @@ from .complexes import (
     SimplicialComplex,
     _as_mask,
     _bits_of,
+    _bitset_masks,
+    _clear_codes,
     _code_bitset,
     _codes_closed,
     _codes_over,
@@ -319,29 +321,36 @@ HOMOLOGY_DATA_CACHE_SIZE = 4096
 GROUPS_CACHE_SIZE = 8192
 
 
-def _require_closed(key: tuple[int, ...], faces: set[int]) -> None:
-    # a canonical family on vertices 1..k, ascending: the census's test on
-    # the bitset of its codes when 2^k is at most CLOSURE_BITSET_RATIO times
-    # the faces, else one lookup per face and vertex
+def _closed_star(key: tuple[int, ...]) -> set[int]:
+    # the closed star of vertex 1 (mask 1) in a canonical family on
+    # vertices 1..k, the faces f with f | 1 a face, once the family is
+    # known to be closed downward.  On the census's bitset of its codes when
+    # 2^k is at most CLOSURE_BITSET_RATIO times the faces: even code c is
+    # in the star when c + 1 is present, odd code c when c is.  Else one
+    # lookup per face and vertex
     k = key[-1].bit_length() if key else 0
     if 1 << k <= CLOSURE_BITSET_RATIO * len(key):
-        closed = _codes_closed(_code_bitset(key, k), k)
+        present = _code_bitset(key, k)
+        closed = _codes_closed(present, k)
+        odd = ~_clear_codes(k)[0] if k else 0
+        star = set(_bitset_masks(present & (present >> 1 | odd), (1 << k) - 1))
     else:
+        faces = set(key)
         closed = all(f ^ b in faces for f in key for b in _bits_of(f))
+        star = {f for f in key if f | 1 in faces}
     if not closed:
         raise ValueError("the face family is not closed downward")
+    return star
 
 
 @lru_cache(maxsize=HOMOLOGY_DATA_CACHE_SIZE)
 def _homology_data(key: tuple[int, ...]):
     # key is a canonical face-mask family, read modulo the closed star of
-    # its vertex 1 (mask 1).  The star is a cone, so H_n(K, st 1) is the
-    # reduced (co)homology of K over any coefficients.  Void and {0} have no
+    # its vertex 1.  The star is a cone, so H_n(K, st 1) is the reduced
+    # (co)homology of K over any coefficients.  Void and {0} have no
     # vertex, so their star is empty and they stay unreduced.  A family not
     # closed downward is refused before the quotient, which could hide it
-    faces = set(key)
-    _require_closed(key, faces)
-    return _smith_data(key, {f for f in key if f | 1 in faces})
+    return _smith_data(key, _closed_star(key))
 
 
 @lru_cache(maxsize=GROUPS_CACHE_SIZE)
