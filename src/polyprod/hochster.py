@@ -224,11 +224,12 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
         for sigma in sorted(faces):
             support = _link_support(faces, sigma, ground & ~sigma)
             subsets = submasks(support)
-            found = links[sigma] = (support, {})
+            found = {}
             for w, b in zip(subsets, _slice_bitsets(faces, sigma, subsets)):
                 g = group(b, w.bit_count())
                 if g.groups:
-                    found[1][w] = g
+                    found[w] = g
+            links[sigma] = (support, found)
         return BigradedTable(ground, links, cohomology)
     pair_list = [(_as_mask(s), _as_mask(w)) for s, w in pairs]
     for s, w in pair_list:
