@@ -40,14 +40,15 @@ def main():
     print("plane composed with six point pairs:",
           composition_homology(rp2, blocks))
 
-    # the bigraded table of a composition factors entry by entry; every one
-    # of the 3^n disjoint pairs is checked
+    # the bigraded table of a composition factors entry by entry; all 3^n
+    # disjoint pairs are covered, and a verdict stands at each pair where
+    # either side can be nonzero (both sides are zero at the others)
     K = s0(1, 2)
     report = hochster_composition_formula(K, [s0(1, 2), s0(3, 4)])
     verdicts = report.verdicts
     nonzero = [v for v in verdicts if not v.lhs.is_zero]
-    print(f"pieces checked: {len(verdicts)}, nonzero: {len(nonzero)}, "
-          f"all agree: {report.ok}")
+    print(f"pairs covered: {report.pairs}, verdicts: {len(verdicts)}, "
+          f"nonzero: {len(nonzero)}, all agree: {report.ok}")
     for v in nonzero:
         if not v.omega:
             continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress
 
 
 def mask_of(vertices) -> int:
@@ -80,7 +80,8 @@ def _as_mask(x) -> int:
 
 
 # Submask tables of grounds and omegas of at most EXPAND_CACHED_VERTICES
-# vertices are cached, EXPAND_CACHE_SIZE of them; no benchmark workload
+# vertices are cached, EXPAND_CACHE_SIZE of them, and so are the sets of
+# those submasks that duals take their faces from; no benchmark workload
 # walks that many distinct ones (README lists what a round fills).  Facet
 # closures read a gapped support's table through _expand and keep the
 # vertex masks of _clear_codes per support size up to the same bound
@@ -95,6 +96,18 @@ def _expand(omega: int) -> tuple[int, ...]:
     if omega.bit_count() <= EXPAND_CACHED_VERTICES:
         return _cached_expand(omega)
     return submasks(omega)
+
+
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+def _cached_subset_set(mask: int) -> frozenset[int]:
+    return frozenset(_expand(mask))
+
+
+def _subset_set(mask: int) -> frozenset[int]:
+    # the submasks of ``mask`` as a set, kept under the rule of _expand
+    if mask.bit_count() <= EXPAND_CACHED_VERTICES:
+        return _cached_subset_set(mask)
+    return frozenset(submasks(mask))
 
 
 def _build_clear_codes(n: int) -> tuple[int, ...]:
@@ -236,7 +249,7 @@ class SimplicialComplex:
     def full_simplex(cls, ground) -> "SimplicialComplex":
         """The full simplex: every subset of ``ground`` is a face."""
         g = _as_mask(ground)
-        return cls(g, frozenset(_expand(g)))
+        return cls(g, _subset_set(g))
 
     @classmethod
     def boundary_simplex(cls, ground) -> "SimplicialComplex":
@@ -378,19 +391,21 @@ class SimplicialComplex:
         non-faces of self.  The dual of the full simplex is void and vice
         versa; applying ``dual`` twice with the same ambient set returns the
         original face family.
+
+        The faces are all subsets of the ambient set but the complements of
+        the faces of self, one set difference.  A face with a vertex outside
+        the ambient set has a complement that is no subset and removes
+        nothing, so the counts add up to 2^n exactly when there is none.
         """
         s_amb = _as_mask(relative_to)
         if s_amb == 0:
             raise ValueError("dual requires a nonempty ambient vertex set")
-        supp = self.support()
-        if supp & ~s_amb:
-            bad = vertices_of(supp & ~s_amb)[0]
-            raise ValueError(f"support vertex {bad} is outside the ambient set")
         faces = self.faces
-        return SimplicialComplex(
-            s_amb,
-            frozenset([s_amb ^ s for s in _expand(s_amb) if s not in faces]),
-        )
+        out = _subset_set(s_amb).difference(map(s_amb.__xor__, faces))
+        if len(out) + len(faces) != 1 << s_amb.bit_count():
+            bad = vertices_of(self.support() & ~s_amb)[0]
+            raise ValueError(f"support vertex {bad} is outside the ambient set")
+        return SimplicialComplex(s_amb, out)
 
     # -- lattice operations on one ground ------------------------------------
 
@@ -469,25 +484,27 @@ def polyhedral_complex(K: SimplicialComplex, pairs) -> SimplicialComplex:
     """Union over faces tau of K of the joins (X_k for k in tau, A_k else).
 
     ``pairs[i]`` is the pair ``(X, A)`` attached to the i-th smallest ground
-    vertex of K.  A face f of the candidate join belongs to the result iff
-    the set of positions where f meets X_k outside A_k is a face of K.
+    vertex of K.  A face f of the result belongs to exactly one of the
+    joins of (X_k minus A_k for k in tau, A_k else), tau the positions
+    where f meets X_k outside A_k, so the result is built as their disjoint
+    union, each join as the unions of one face per position: its cost is
+    the size of the result, not the product of the face lists.
     The void K gives the void result on the union of the pair grounds.
     """
     pairs = list(pairs)
     bits = _positions(K.ground, pairs, "pairs for the ground of K")
     ground = _check_pairs(pairs)
-    out = set()
-    face_lists = [sorted(x.faces) for x, _ in pairs]
-    sub_sets = [a.faces for _, a in pairs]
-    for combo in product(*face_lists):
-        tau = 0
-        f = 0
-        for i, fk in enumerate(combo):
-            f |= fk
-            if fk not in sub_sets[i]:
-                tau |= bits[i]
-        if tau in K.faces:
-            out.add(f)
+    inside = [a.faces for _, a in pairs]
+    outside = [x.faces - a.faces for x, a in pairs]
+    out = []
+    for tau in K.faces:
+        if tau & ~K.ground:
+            continue  # an unvalidated face no choice of positions gives
+        lists = [outside[i] if tau & b else inside[i] for i, b in enumerate(bits)]
+        acc = [0]
+        for faces in sorted(lists, key=len):
+            acc = [a | f for a in acc for f in faces]
+        out += acc
     return SimplicialComplex(ground, frozenset(out))
 
 

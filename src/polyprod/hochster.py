@@ -500,7 +500,14 @@ class PieceVerdict:
 
 @dataclass(frozen=True)
 class PieceReport:
+    """The verdicts at the pairs that could fail, in table order.
+
+    ``pairs`` counts every disjoint pair of the composition's ground (3^N);
+    at each pair without a verdict both sides are zero.
+    """
+
     verdicts: tuple[PieceVerdict, ...]
+    pairs: int
 
     @property
     def ok(self) -> bool:
@@ -522,9 +529,16 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
     omega part is empty) and omega-hat collects positions with nonempty
     omega part.  Internal degrees add.
 
+    Both sides are compared only where one can be nonzero: at the nonzero
+    entries of the composition's table, and at the pairs where every part
+    of the tensor is nonzero, built from K's nonzero entries and each
+    factor's faces, non-faces and nonzero entries.  Over Z only the first
+    part may have torsion and over a field none has, so a tensor of nonzero
+    parts is nonzero, and at every other pair both sides are zero.
+
     Factors must be nonvoid.  Over the integers the factor entries must be
     torsion-free; otherwise :func:`tensor_additive` raises a ValueError
-    asking for field coefficients.
+    asking for field coefficients, as at any pair that reads such an entry.
     """
     factors = list(factors)
     if any(L.is_void for L in factors):
@@ -534,11 +548,34 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
     table_s = hochster_table(comp, coeff)
     table_k = hochster_table(K, coeff)
     tables_l = [hochster_table(L, coeff) for L in factors]
+    # each pair over a block reads its factor's entry there, so the tensor
+    # rule sees every one (the entries at an empty omega are Z in degree 0)
+    for g in {g for t in tables_l for _, found in t.links.values()
+              for g in found.values()}:
+        tensor_additive((_ZERO, g))
+    # per position: the blockwise pairs in omega-hat (nonzero entries at a
+    # nonempty omega), in sigma-hat (non-faces) and in neither (faces)
+    in_omega = [[p for p, _ in t._nonzero() if p[1]] for t in tables_l]
+    in_sigma = [[(s, 0) for s in submasks(L.ground) if s not in L.faces]
+                for L in factors]
+    in_neither = [[(s, 0) for s in sorted(L.faces)] for L in factors]
+    candidates = {p for p, _ in table_s._nonzero()}
+    for (sigma_hat, omega_hat), _ in table_k._nonzero():
+        acc = [(0, 0)]
+        for i, b in enumerate(bits):
+            if omega_hat & b:
+                choices = in_omega[i]
+            elif sigma_hat & b:
+                choices = in_sigma[i]
+            else:
+                choices = in_neither[i]
+            acc = [(s | x, w | y) for s, w in acc for x, y in choices]
+        candidates.update(acc)
     blocks = [L.ground for L in factors]
     # pairs share their tuples of entries, so each distinct one is tensored once
     tensors: dict[tuple[GradedGroup, ...], GradedGroup] = {}
     verdicts = []
-    for (sigma, omega), lhs in table_s.items():
+    for sigma, omega in sorted(candidates, key=_pair_rank(comp.ground)):
         sig_parts = _block_split(sigma, blocks)
         om_parts = _block_split(omega, blocks)
         sigma_hat = 0
@@ -554,5 +591,5 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
         rhs = tensors.get(parts)
         if rhs is None:
             rhs = tensors[parts] = tensor_additive(parts)
-        verdicts.append(PieceVerdict(sigma, omega, lhs, rhs))
-    return PieceReport(tuple(verdicts))
+        verdicts.append(PieceVerdict(sigma, omega, table_s._at(sigma, omega), rhs))
+    return PieceReport(tuple(verdicts), len(table_s.items()))

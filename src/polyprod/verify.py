@@ -235,11 +235,13 @@ def _random_block_sizes(rng, m: int, total_max: int, size_max: int = 4):
 # ---------------------------------------------------------------------------
 # suite: dual (involution, De Morgan, small-ground census)
 
-def _dual_failure(K: SimplicialComplex):
+def _dual_failure(K: SimplicialComplex, d: SimplicialComplex | None = None):
+    # ``d``, when given, is K.dual(K.ground)
     g = K.ground
     if g == 0:
         return None
-    d = K.dual(g)
+    if d is None:
+        d = K.dual(g)
     if len(K.faces) + len(d.faces) != 1 << K.n_vertices:
         return "face counts of a complex and its dual do not sum to 2^n"
     if d.dual(g) != K:
@@ -250,9 +252,15 @@ def _dual_failure(K: SimplicialComplex):
     return None
 
 
-def _de_morgan_failure(K1: SimplicialComplex, K2: SimplicialComplex):
+def _de_morgan_failure(K1: SimplicialComplex, K2: SimplicialComplex,
+                       d1: SimplicialComplex | None = None,
+                       d2: SimplicialComplex | None = None):
+    # ``d1`` and ``d2``, when given, are the duals of K1 and K2 on their ground
     g = K1.ground
-    d1, d2 = K1.dual(g), K2.dual(g)
+    if d1 is None:
+        d1 = K1.dual(g)
+    if d2 is None:
+        d2 = K2.dual(g)
     if K1.union(K2).dual(g) != d1.intersection(d2):
         return "dual of a union is not the intersection of duals"
     if K1.intersection(K2).dual(g) != d1.union(d2):
@@ -271,13 +279,14 @@ def _census_failure():
             )
         if n == 0:
             continue
-        for K in family:
-            err = _dual_failure(K)
+        duals = [K.dual(g) for K in family]
+        for K, d in zip(family, duals):
+            err = _dual_failure(K, d)
             if err:
                 return err + "\n" + _serialize(complex=K)
-        for K1 in family:
-            for K2 in family:
-                err = _de_morgan_failure(K1, K2)
+        for K1, d1 in zip(family, duals):
+            for K2, d2 in zip(family, duals):
+                err = _de_morgan_failure(K1, K2, d1, d2)
                 if err:
                     return err + "\n" + _serialize(first=K1, second=K2)
     return None
@@ -290,11 +299,12 @@ def _check_dual(rng, i: int, max_vertices: int):
     ground = range(1, n + 1)
     K1 = random_complex(rng, ground)
     K2 = random_complex(rng, ground)
-    if err := _dual_failure(K1):
+    d1, d2 = K1.dual(K1.ground), K2.dual(K2.ground)
+    if err := _dual_failure(K1, d1):
         K1 = minimize_complex(K1, lambda c: _dual_failure(c) is not None)
-    elif err := _dual_failure(K2):
+    elif err := _dual_failure(K2, d2):
         K2 = minimize_complex(K2, lambda c: _dual_failure(c) is not None)
-    elif _de_morgan_failure(K1, K2):
+    elif _de_morgan_failure(K1, K2, d1, d2):
         # shrink both by facets on their shared ground until neither can lose
         # one; the shrunk pair may break the other law, so report its own
         before = None

@@ -368,6 +368,61 @@ class TestDual:
             a.intersection(b)
 
 
+def _subsets_by_definition(vertices):
+    # every subset of the labels as a mask, by combinations
+    return [sum(1 << (v - 1) for v in c)
+            for k in range(len(vertices) + 1)
+            for c in itertools.combinations(vertices, k)]
+
+
+def _labels(mask):
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestDualAgainstItsDefinition:
+    """``dual`` against {g - s : s a subset of g, s not a face}, written
+    here from combinations, on seeded random complexes with ghost vertices
+    and in ambient sets wider than the ground."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_complexes_in_wider_ambient_sets(self, seed):
+        rng = random.Random(seed)
+        labels = rng.sample(range(1, 15), rng.randint(1, 8))
+        K = random_complex(rng, labels)
+        # ghosts: ground vertices in no face; extra: ambient outside the ground
+        extra = rng.sample([v for v in range(1, 15) if v not in labels],
+                           rng.randint(0, 3))
+        for ambient in (labels, labels + extra):
+            g = sum(1 << (v - 1) for v in ambient)
+            want = {g ^ s for s in _subsets_by_definition(ambient)
+                    if s not in K.faces}
+            d = K.dual(g)
+            assert d.ground == g
+            assert d.faces == want
+
+    def test_ghost_vertices_and_the_degenerate_complexes(self):
+        ground = [2, 5, 9]
+        g = mask_of(ground)
+        for K in (SimplicialComplex.void(ground),
+                  SimplicialComplex.empty_face_complex(ground),
+                  make_complex(ground, [[5]]),
+                  SimplicialComplex.full_simplex(ground)):
+            want = {g ^ s for s in _subsets_by_definition(ground)
+                    if s not in K.faces}
+            assert K.dual(g).faces == want
+
+    @pytest.mark.parametrize("size", [12, 13])
+    def test_a_face_outside_the_ambient_set_names_its_least_such_vertex(self, size):
+        # an unvalidated face with vertices 14 and 16 outside the ambient
+        # set 1..size; a 12-vertex ambient set reads its subsets from the
+        # cache, a 13-vertex one builds them afresh, and both refuse alike
+        ambient = mask_of(range(1, size + 1))
+        K = SimplicialComplex(ambient, frozenset({0, 1, mask_of([1, 14, 16])}))
+        with pytest.raises(ValueError) as err:
+            K.dual(ambient)
+        assert str(err.value) == "support vertex 14 is outside the ambient set"
+
+
 class TestJoin:
     def test_join_of_two_point_pairs_is_square(self):
         a = SimplicialComplex.boundary_simplex([1, 2])
@@ -456,6 +511,94 @@ class TestPolyhedralComplex:
         S = polyhedral_complex(K, pairs)
         # tau always contains 1, so tau = {1} forces f to avoid {2}
         assert faces_as_sets(S) == {frozenset(), frozenset([1])}
+
+
+def _product_by_definition(K, pairs):
+    # one face per pair, in every combination; the union is a face of the
+    # product when the positions whose face lies outside A_k form a face of K
+    positions = [1 << (v - 1) for v in _labels(K.ground)]
+    out = set()
+    for combo in itertools.product(*[sorted(x.faces) for x, _ in pairs]):
+        tau = union = 0
+        for b, f, (_, a) in zip(positions, combo, pairs):
+            union |= f
+            if f not in a.faces:
+                tau |= b
+        if tau in K.faces:
+            out.add(union)
+    return frozenset(out)
+
+
+def _random_pair(rng, labels):
+    # (X, A) on the labels, with A void, {0}, all of X or random inside X
+    X = random_complex(rng, labels)
+    kind = rng.randrange(4)
+    if kind == 0:
+        A = SimplicialComplex.void(labels)
+    elif kind == 1:
+        A = X if X.is_void else SimplicialComplex.empty_face_complex(labels)
+    elif kind == 2:
+        A = X
+    else:
+        A = random_subcomplex(rng, X)
+    return X, A
+
+
+class TestPolyhedralComplexAgainstItsDefinition:
+    """``polyhedral_complex`` against the product of the face lists with the
+    membership rule, written here, on seeded random inputs over gapped
+    grounds."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_pairs_on_gapped_grounds(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(0, 4)
+        labels = sorted(rng.sample(range(1, 30), 12))
+        k_ground = sorted(rng.sample(range(1, 9), m))
+        K = random_complex(rng, k_ground)
+        pairs = []
+        for _ in range(m):
+            size = rng.randint(0, 3)
+            block, labels = labels[:size], labels[size:]
+            pairs.append(_random_pair(rng, block))
+        S = polyhedral_complex(K, pairs)
+        assert S.ground == sum(x.ground for x, _ in pairs)
+        assert S.faces == _product_by_definition(K, pairs)
+
+    @pytest.mark.parametrize("k_faces", ["void", "empty face", "full"])
+    def test_degenerate_outer_complexes(self, k_faces):
+        ground = [3, 7]
+        K = {"void": SimplicialComplex.void,
+             "empty face": SimplicialComplex.empty_face_complex,
+             "full": SimplicialComplex.full_simplex}[k_faces](ground)
+        edge = SimplicialComplex.full_simplex([1, 4])
+        points = SimplicialComplex.boundary_simplex([1, 4])
+        for a in (SimplicialComplex.void([1, 4]), points, edge):
+            pairs = [(edge, a), (SimplicialComplex.full_simplex([6]),
+                                 SimplicialComplex.empty_face_complex([6]))]
+            assert polyhedral_complex(K, pairs).faces == _product_by_definition(K, pairs)
+
+    def test_an_unvalidated_face_of_k_outside_its_ground_picks_nothing(self):
+        # no choice of positions gives the face {1, 9} of K on the ground
+        # {1}, and {1} is not a face, so the vertex 2 is not either
+        K = SimplicialComplex(mask_of([1]), frozenset({0, mask_of([1, 9])}))
+        pairs = [(SimplicialComplex.full_simplex([2]),
+                  SimplicialComplex.empty_face_complex([2]))]
+        assert polyhedral_complex(K, pairs).faces == _product_by_definition(K, pairs)
+        assert polyhedral_complex(K, pairs).faces == frozenset({0})
+
+    def test_empty_ground(self):
+        for K in (SimplicialComplex.void([]),
+                  SimplicialComplex.empty_face_complex([])):
+            S = polyhedral_complex(K, [])
+            assert S.ground == 0
+            assert S.faces == _product_by_definition(K, []) == K.faces
+        # a position whose pair has an empty ground
+        K = SimplicialComplex.full_simplex([1])
+        pair = (SimplicialComplex.empty_face_complex([]),
+                SimplicialComplex.void([]))
+        assert polyhedral_complex(K, [pair]).faces == frozenset({0})
+        assert _product_by_definition(K, [pair]) == frozenset({0})
 
 
 class TestGhostFactorization:

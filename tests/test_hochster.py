@@ -8,9 +8,12 @@ import weakref
 
 import pytest
 
-from polyprod.abelian import FgAbelianGroup, GradedGroup, Z_GROUP
+from polyprod import hochster
+from polyprod.abelian import FgAbelianGroup, GradedGroup, Z_GROUP, tensor_additive
 from polyprod.complexes import (
     SimplicialComplex,
+    composition_complex,
+    consecutive_blocks,
     make_complex,
     mask_of,
     random_complex,
@@ -777,7 +780,12 @@ class TestHochsterCompositionFormula:
         K = two_points()
         factors = _segment_blocks(2)
         report = hochster_composition_formula(K, factors)
-        assert len(report.verdicts) == 81
+        assert report.pairs == 81
+        # the formula holds, so a verdict stands exactly at each pair where
+        # the composition's entry is nonzero
+        table = hochster_table(composition_complex(K, factors))
+        nonzero = [pair for pair, g in table.items() if g.groups]
+        assert [(v.sigma, v.omega) for v in report.verdicts] == nonzero
         assert report.ok
         assert report.failures() == []
         full = next(
@@ -816,6 +824,101 @@ class TestHochsterCompositionFormula:
         K = SimplicialComplex.empty_face_complex(mask_of([1]))
         report = hochster_composition_formula(K, [rp2_complex()], GF(2))
         assert report.ok
+
+
+def _piece_sweep(K, factors, coeff):
+    # (sigma, omega, lhs, rhs) at every pair of the composition's ground in
+    # table order, each side read off the tables' items(); the composition
+    # is built through the module, so a patched one reaches both checks
+    comp = hochster.composition_complex(K, factors)
+    table_k = dict(hochster_table(K, coeff).items())
+    tables_l = [dict(hochster_table(L, coeff).items()) for L in factors]
+    positions = [1 << (v - 1) for v in vertices_of(K.ground)]
+    rows = []
+    for (sigma, omega), lhs in hochster_table(comp, coeff).items():
+        sigma_hat = omega_hat = 0
+        parts = []
+        for b, L, t in zip(positions, factors, tables_l):
+            s, w = sigma & L.ground, omega & L.ground
+            if w:
+                omega_hat |= b
+                parts.append(t[s, w])
+            elif s not in L.faces:
+                sigma_hat |= b
+        rhs = tensor_additive([table_k[sigma_hat, omega_hat]] + parts)
+        rows.append((sigma, omega, lhs, rhs))
+    return rows
+
+
+def _piece_instance(rng, max_total):
+    # an outer complex on 1-3 positions and nonvoid factors on blocks
+    m = rng.randint(1, 3)
+    sizes = [rng.randint(1, 4) for _ in range(m)]
+    while sum(sizes) > max_total:
+        sizes[sizes.index(max(sizes))] -= 1
+    K = random_complex(rng, range(1, m + 1))
+    factors = []
+    for b in consecutive_blocks(sizes):
+        L = random_complex(rng, vertices_of(b))
+        factors.append(SimplicialComplex.empty_face_complex(b) if L.is_void else L)
+    return K, factors
+
+
+def _drop_a_maximal_face(real):
+    def broken(K, factors):
+        S = real(K, factors)
+        if len(S.faces) > 1:
+            return SimplicialComplex(S.ground, S.faces - {max(S.facets())})
+        return S
+
+    return broken
+
+
+class TestPieceCheckAgainstTheFullSweep:
+    """The verdicts at the candidate pairs against a sweep over all 3^N."""
+
+    def _compare(self, K, factors, coeff):
+        report = hochster_composition_formula(K, factors, coeff)
+        rows = _piece_sweep(K, factors, coeff)
+        assert report.pairs == len(rows)
+        by_pair = {(s, w): (lhs, rhs) for s, w, lhs, rhs in rows}
+        got = [(v.sigma, v.omega) for v in report.verdicts]
+        assert got == [(s, w) for s, w, _, _ in rows if (s, w) in set(got)]
+        for v in report.verdicts:
+            assert (v.lhs, v.rhs) == by_pair[v.sigma, v.omega]
+        # every pair without a verdict has two zero sides
+        seen = set(got)
+        assert all(lhs.is_zero and rhs.is_zero for s, w, lhs, rhs in rows
+                   if (s, w) not in seen)
+        failing = [(s, w, lhs, rhs) for s, w, lhs, rhs in rows if lhs != rhs]
+        assert report.ok == (not failing)
+        first = report.failures()[0] if report.failures() else None
+        assert (None if first is None else
+                (first.sigma, first.omega, first.lhs, first.rhs)) == (
+                    failing[0] if failing else None)
+        return report.ok
+
+    @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
+    def test_random_compositions(self, coeff):
+        rng = random.Random(23)
+        for _ in range(40):
+            K, factors = _piece_instance(rng, 7)
+            assert self._compare(K, factors, coeff)
+
+    @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
+    def test_a_composition_that_drops_a_maximal_face(self, coeff, monkeypatch):
+        monkeypatch.setattr(hochster, "composition_complex",
+                            _drop_a_maximal_face(composition_complex))
+        rng = random.Random(29)
+        verdicts = [self._compare(*_piece_instance(rng, 7), coeff)
+                    for _ in range(40)]
+        assert verdicts.count(False) > 10
+
+    def test_torsion_in_the_outer_complex(self):
+        K = rp2_complex()
+        factors = [SimplicialComplex.empty_face_complex(mask_of([v]))
+                   for v in range(1, 7)]
+        assert self._compare(K, factors, None)
 
 
 def v_entry(g: GradedGroup) -> dict:
