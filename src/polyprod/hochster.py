@@ -558,7 +558,7 @@ def hochster_composition_formula(K: SimplicialComplex, factors,
     in_omega = [[p for p, _ in t._nonzero() if p[1]] for t in tables_l]
     in_sigma = [[(s, 0) for s in submasks(L.ground) if s not in L.faces]
                 for L in factors]
-    in_neither = [[(s, 0) for s in sorted(L.faces)] for L in factors]
+    in_neither = [[(s, 0) for s in L.faces] for L in factors]
     candidates = {p for p, _ in table_s._nonzero()}
     for (sigma_hat, omega_hat), _ in table_k._nonzero():
         acc = [(0, 0)]

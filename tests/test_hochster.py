@@ -883,11 +883,11 @@ class TestPieceCheckAgainstTheFullSweep:
         assert report.pairs == len(rows)
         by_pair = {(s, w): (lhs, rhs) for s, w, lhs, rhs in rows}
         got = [(v.sigma, v.omega) for v in report.verdicts]
-        assert got == [(s, w) for s, w, _, _ in rows if (s, w) in set(got)]
+        seen = set(got)
+        assert got == [(s, w) for s, w, _, _ in rows if (s, w) in seen]
         for v in report.verdicts:
             assert (v.lhs, v.rhs) == by_pair[v.sigma, v.omega]
         # every pair without a verdict has two zero sides
-        seen = set(got)
         assert all(lhs.is_zero and rhs.is_zero for s, w, lhs, rhs in rows
                    if (s, w) not in seen)
         failing = [(s, w, lhs, rhs) for s, w, lhs, rhs in rows if lhs != rhs]
