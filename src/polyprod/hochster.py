@@ -13,6 +13,19 @@ of the dual slice, with the sign of the shuffle putting sorted(eta) before
 sorted(omega minus eta).  It checks a pair on windows of two face bitsets
 read once per complex and its dual, and builds the signed map only when
 read.
+
+Over all pairs a table computes no slice that holds a cone point of the
+link: a vertex v of the link support lying in every facet above sigma.
+Each face of such a slice extends by v inside it, so the slice is a cone
+with apex v and its entry is zero over Z and every field, for homology and
+cohomology (the simplest vanishing in Hochster's formula; a dominated
+vertex in the sense of Barmak and Minian).  The facets above sigma are
+read off only for a family closed downward in its ground; any other
+family keeps the full sweep and is refused exactly where it was before.
+The rule pays on cones, joins with a simplex, compositions with simplex
+boundaries and dense duals (rp2 joined with a tetrahedron: 0.07-0.09 to
+0.01-0.02 s on a 2-core Xeon VM); it does not on a random 12-vertex
+complex or on the dual of rp2*rp2, whose links have few cone points.
 """
 
 from __future__ import annotations
@@ -23,11 +36,13 @@ from functools import cached_property
 
 from .abelian import GradedGroup, tensor_additive
 from .complexes import (
+    CLOSURE_BITSET_RATIO,
     SimplicialComplex,
     _as_mask,
     _bitset_masks,
     _bits_of,
     _code_bitset,
+    _codes_closed,
     _codes_over,
     _expand,
     _link_support,
@@ -188,6 +203,19 @@ def _slice_bitsets(faces, sigma: int, subsets) -> list[int]:
     return bitsets
 
 
+def _closed_in(faces, ground: int) -> bool:
+    # whether the faces lie in ``ground`` and are closed downward: on the
+    # bitset of their codes when 2^n is at most CLOSURE_BITSET_RATIO times
+    # the faces, as homology._closed_star reads it, else one lookup per
+    # face and vertex
+    if any(f & ~ground for f in faces):
+        return False
+    n = ground.bit_count()
+    if 1 << n <= CLOSURE_BITSET_RATIO * len(faces):
+        return _codes_closed(_code_bitset(_codes_over(faces, ground), n), n)
+    return all(f ^ b in faces for f in faces for b in _bits_of(f))
+
+
 def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
                    pairs=None, cohomology: bool = False) -> BigradedTable:
     """Slice (co)homology table of K over all requested disjoint pairs.
@@ -206,6 +234,23 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     compute only their own slices.  Each distinct slice goes to
     :func:`homology_of_faces` once, as the codes of its faces as subsets of
     w: a family on vertices 1..|w|, already in the cache's canonical form.
+
+    The walk goes down the faces in descending mask order, so each sigma + v
+    comes before sigma, and keeps the meet M(sigma) of the facets above
+    sigma: sigma itself at a facet, else the AND of M(sigma + v) over v in
+    S.  A vertex of S & M(sigma) is a cone point of the link; the slice at
+    any w holding it is a cone on it (a face tau of the slice lies in a
+    facet above sigma, which holds v, so tau + v is in the slice too), and
+    its entry is zero, so only the w inside S - M(sigma) are sliced.  The
+    rule needs K closed downward: that is checked once per table, on the
+    bitset of the face codes or face by face (the rule of
+    ``homology._closed_star``), and a family that is not closed, or has a
+    face outside its ground, keeps the full sweep, so
+    :func:`homology_of_faces` refuses it where it did before.  On the cone
+    over rp2*rp2 (13 vertices) the table takes 2.0-2.5 s with every slice
+    and 1.0 s without the cones, on a 2-core Xeon VM; on a random
+    12-vertex complex or the dual of rp2*rp2 the rule skips few slices and
+    the time does not move.
     """
     faces = K.faces
     ground = K.ground
@@ -221,9 +266,19 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
 
     links: dict[int, tuple[int, dict[int, GradedGroup]]] = {}
     if pairs is None:
-        for sigma in sorted(faces):
+        # meets[sigma]: the meet of the facets above sigma, for a family
+        # closed downward in its ground; each sigma + v comes before sigma
+        meets = {} if _closed_in(faces, ground) else None
+        for sigma in sorted(faces, reverse=True):
             support = _link_support(faces, sigma, ground & ~sigma)
-            subsets = submasks(support)
+            span = support
+            if meets is not None:
+                meet = -1
+                for b in _bits_of(support):
+                    meet &= meets[sigma | b]
+                meets[sigma] = meet = meet if support else sigma
+                span &= ~meet
+            subsets = submasks(span)
             found = {}
             for w, b in zip(subsets, _slice_bitsets(faces, sigma, subsets)):
                 g = group(b, w.bit_count())

@@ -253,17 +253,21 @@ def _dual_failure(K: SimplicialComplex, d: SimplicialComplex | None = None):
 
 
 def _de_morgan_failure(K1: SimplicialComplex, K2: SimplicialComplex,
-                       d1: SimplicialComplex | None = None,
-                       d2: SimplicialComplex | None = None):
-    # ``d1`` and ``d2``, when given, are the duals of K1 and K2 on their ground
+                       duals: dict | None = None):
+    # ``duals``, when given, maps complexes on the shared ground to their
+    # duals there; any other complex, such as a union or an intersection
+    # that is not in it, goes through ``dual``
     g = K1.ground
-    if d1 is None:
-        d1 = K1.dual(g)
-    if d2 is None:
-        d2 = K2.dual(g)
-    if K1.union(K2).dual(g) != d1.intersection(d2):
+    known = duals or {}
+
+    def dual(K):
+        d = known.get(K)
+        return K.dual(g) if d is None else d
+
+    d1, d2 = dual(K1), dual(K2)
+    if dual(K1.union(K2)) != d1.intersection(d2):
         return "dual of a union is not the intersection of duals"
-    if K1.intersection(K2).dual(g) != d1.union(d2):
+    if dual(K1.intersection(K2)) != d1.union(d2):
         return "dual of an intersection is not the union of duals"
     return None
 
@@ -279,14 +283,16 @@ def _census_failure():
             )
         if n == 0:
             continue
-        duals = [K.dual(g) for K in family]
-        for K, d in zip(family, duals):
+        # the family is closed under union and intersection, so De Morgan
+        # reads the duals of both from those of its members
+        duals = {K: K.dual(g) for K in family}
+        for K, d in duals.items():
             err = _dual_failure(K, d)
             if err:
                 return err + "\n" + _serialize(complex=K)
-        for K1, d1 in zip(family, duals):
-            for K2, d2 in zip(family, duals):
-                err = _de_morgan_failure(K1, K2, d1, d2)
+        for K1 in family:
+            for K2 in family:
+                err = _de_morgan_failure(K1, K2, duals)
                 if err:
                     return err + "\n" + _serialize(first=K1, second=K2)
     return None
@@ -304,7 +310,7 @@ def _check_dual(rng, i: int, max_vertices: int):
         K1 = minimize_complex(K1, lambda c: _dual_failure(c) is not None)
     elif err := _dual_failure(K2, d2):
         K2 = minimize_complex(K2, lambda c: _dual_failure(c) is not None)
-    elif _de_morgan_failure(K1, K2, d1, d2):
+    elif _de_morgan_failure(K1, K2, {K1: d1, K2: d2}):
         # shrink both by facets on their shared ground until neither can lose
         # one; the shrunk pair may break the other law, so report its own
         before = None

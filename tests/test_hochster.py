@@ -14,6 +14,7 @@ from polyprod.complexes import (
     SimplicialComplex,
     composition_complex,
     consecutive_blocks,
+    join,
     make_complex,
     mask_of,
     random_complex,
@@ -285,6 +286,33 @@ def _large_scan_corpus():
     return out + [SimplicialComplex(K.ground | 1 << 9, K.faces)]
 
 
+def _cone_point_corpus():
+    # complexes where many links have a cone point, a vertex in every facet
+    # above the face: a cone over a seeded random complex, rp2 joined with
+    # an edge, the dual of a sparse complex, a composition with triangle
+    # boundaries, and the cone again on a ground with a ghost vertex 8
+    rng = random.Random(2417)
+    facets = [rng.sample(range(1, 6), rng.randint(1, 3)) for _ in range(4)]
+    cone = make_complex(range(1, 7), [f + [6] for f in facets])
+    sparse = make_complex(range(1, 8), [rng.sample(range(1, 8), 2) for _ in range(2)])
+    triangles = [SimplicialComplex.boundary_simplex(range(v, v + 3)) for v in (1, 4)]
+    return [
+        cone,
+        join([rp2_complex(), SimplicialComplex.full_simplex((7, 8))]),
+        sparse.dual(sparse.ground),
+        composition_complex(make_complex((1, 2), [[1]]), triangles),
+        SimplicialComplex(cone.ground | 1 << 7, cone.faces),
+    ]
+
+
+def _cone_points_by_face_scan(K, sigma):
+    # the vertices v outside sigma with sigma + v a face and f + v a face
+    # for every face f above sigma
+    above = [f for f in K.faces if f & sigma == sigma]
+    return sum(b for b in _bits(K.ground & ~sigma)
+               if all(f | b in K.faces for f in above))
+
+
 @functools.cache
 def _face_scans(K):
     # the scan at every pair of K, once for all four gradings
@@ -297,14 +325,16 @@ class TestTableAgainstFaceScan:
     The table computes the slices of each face sigma inside its link
     support at once, on bitsets; the scan keeps each face of K that
     contains sigma and lies in sigma + omega, so it shares no code with
-    the slice rule.  The corpus runs up to 9 vertices.
+    the slice rule.  The corpus runs up to 9 vertices; its last part has
+    many faces whose link has a cone point, where the table computes no
+    slice holding that vertex.
     """
 
     @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
     @pytest.mark.parametrize("cohomology", [False, True],
                              ids=["homology", "cohomology"])
     def test_every_entry(self, coeff, cohomology):
-        for K in _scan_corpus() + _large_scan_corpus():
+        for K in _scan_corpus() + _large_scan_corpus() + _cone_point_corpus():
             table = hochster_table(K, coeff, cohomology=cohomology)
             items = list(table.items())
             pairs = list(_all_pairs(K.ground))
@@ -316,6 +346,32 @@ class TestTableAgainstFaceScan:
                 assert entries[sigma, omega] == want, (K, sigma, omega)
             assert table.nonzero_items() == tuple(
                 (pair, g) for pair, g in items if not g.is_zero)
+
+    def test_the_corpus_has_cone_points(self):
+        pairs = 0
+        for K in _cone_point_corpus():
+            faces = 0
+            for sigma in K.faces:
+                cone_points = _cone_points_by_face_scan(K, sigma)
+                if cone_points:
+                    # the omegas outside sigma that meet the cone points
+                    faces += 1
+                    rest = K.n_vertices - sigma.bit_count()
+                    pairs += 2 ** rest - 2 ** (rest - cone_points.bit_count())
+            assert faces >= 27, K
+        assert pairs > 4000
+
+    @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("cohomology", [False, True],
+                             ids=["homology", "cohomology"])
+    def test_requested_pairs_agree_with_all_pairs(self, coeff, cohomology):
+        # a table over requested pairs computes the slice of each, cone
+        # point or not
+        for K in _cone_point_corpus():
+            pairs = list(_all_pairs(K.ground))
+            every = hochster_table(K, coeff, cohomology=cohomology)
+            asked = hochster_table(K, coeff, pairs=pairs, cohomology=cohomology)
+            assert dict(asked.items()) == dict(every.items()), K
 
 
 def _shuffle_sign(eta, rest):
@@ -773,6 +829,67 @@ class TestTableThroughHomologyOfFaces:
         # each key is a family on vertices 1..k, its own canonical form
         for key in keys:
             assert _canonical_faces(key) == tuple(key)
+
+
+class TestConePointRule:
+    """Over all pairs, a slice holding a cone point of the link is skipped.
+
+    A vertex in every facet above sigma makes each slice at (sigma, w)
+    with w holding it a cone, so its entry is zero; the table computes
+    none of them, and keeps the full sweep for a family that is not
+    closed downward.
+    """
+
+    def test_the_full_simplex_asks_for_one_family(self, monkeypatch):
+        real = hochster.homology_of_faces
+        keys = []
+
+        def counting(faces, *args, **kwargs):
+            keys.append(tuple(faces))
+            return real(faces, *args, **kwargs)
+
+        # bound the way perfbench's tracer binds it; every vertex outside
+        # a face is a cone point of its link, so only (sigma, empty) is
+        # sliced, and its slice {empty} is the one family
+        monkeypatch.setattr(hochster, "homology_of_faces", counting)
+        table = hochster_table(SimplicialComplex.full_simplex(range(1, 9)))
+        assert keys == [(0,)]
+        nonzero = table.nonzero_items()
+        assert len(nonzero) == 256
+        assert all(omega == 0 and v_entry(g) == {0: Z_GROUP}
+                   for (_, omega), g in nonzero)
+
+    @pytest.mark.parametrize("faces", [
+        [[], [1], [2], [3], [1, 2, 3]],
+        # every vertex is a cone point of every link, but the slice at
+        # (empty, ground) lacks {1, 2}
+        [[], [1], [2], [3], [1, 3], [2, 3], [1, 2, 3]],
+    ], ids=["hollow-triangle-filled", "no-edge-12"])
+    def test_a_family_not_closed_downward_is_refused(self, faces):
+        K = SimplicialComplex(mask_of([1, 2, 3]), frozenset(map(mask_of, faces)))
+        with pytest.raises(ValueError, match="^the face family is not closed downward$"):
+            hochster_table(K)
+
+    @pytest.mark.parametrize("faces, pair, entry", [
+        ([[], [1, 2]], ([], [1, 2]), {0: Z_GROUP}),
+        # vertex 3 lies in every facet above the empty face, but {3} is
+        # missing: the slice at (empty, {1, 2}) is two points, no cone
+        ([[], [1], [2], [1, 3], [2, 3], [1, 2, 3]], ([], [1, 2]), {1: Z_GROUP}),
+    ], ids=["empty-and-edge", "no-vertex-3"])
+    def test_a_family_not_closed_downward_keeps_its_entries(self, faces, pair, entry):
+        K = SimplicialComplex(mask_of([1, 2, 3]), frozenset(map(mask_of, faces)))
+        table = hochster_table(K)
+        assert v_entry(table.entry(*pair)) == entry
+        pairs = list(_all_pairs(K.ground))
+        assert dict(table.items()) == dict(hochster_table(K, pairs=pairs).items())
+
+    def test_a_face_outside_the_ground_keeps_the_full_sweep(self):
+        # an unvalidated face on vertex 2, outside the gapped ground {1, 3}
+        faces = [[], [1], [2], [3], [1, 2], [1, 3]]
+        K = SimplicialComplex(mask_of([1, 3]), frozenset(map(mask_of, faces)))
+        pairs = list(_all_pairs(K.ground))
+        assert dict(hochster_table(K).items()) == dict(
+            hochster_table(K, pairs=pairs).items())
 
 
 class TestHochsterCompositionFormula:
