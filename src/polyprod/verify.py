@@ -258,10 +258,10 @@ def _de_morgan_failure(K1: SimplicialComplex, K2: SimplicialComplex,
     # duals there; any other complex, such as a union or an intersection
     # that is not in it, goes through ``dual``
     g = K1.ground
-    known = duals or {}
+    duals = duals or {}
 
     def dual(K):
-        d = known.get(K)
+        d = duals.get(K)
         return K.dual(g) if d is None else d
 
     d1, d2 = dual(K1), dual(K2)

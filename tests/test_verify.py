@@ -16,6 +16,7 @@ from polyprod.documents import parse_document
 from polyprod.homology import euler_characteristic_reduced, reduced_homology
 from polyprod.verify import (
     _COMPLEX_COUNTS,
+    _census_failure,
     RP2_FACETS,
     SUITES,
     SuiteResult,
@@ -76,6 +77,33 @@ class TestCensus:
             family = list(enumerate_complexes(mask_of(range(1, n + 1))))
             assert len(family) == expect
             assert len(set(family)) == expect
+
+    def test_each_member_is_dualized_once(self, monkeypatch):
+        real = SimplicialComplex.dual
+        calls = []
+
+        def counting(self, ambient):
+            calls.append(self)
+            return real(self, ambient)
+
+        monkeypatch.setattr(SimplicialComplex, "dual", counting)
+        assert _census_failure() is None
+        # each member and its dual, for the involution check; the De
+        # Morgan laws read each union and intersection off those duals
+        assert len(calls) == 2 * sum(_COMPLEX_COUNTS[1:])
+
+    def test_a_union_that_is_no_member_is_dualized(self, monkeypatch):
+        real = SimplicialComplex.union
+
+        def broken(self, other):
+            # adds the whole ground as a face but none of its subsets, so
+            # the union of two void complexes is no complex of the census
+            K = real(self, other)
+            return SimplicialComplex(K.ground, K.faces | {K.ground})
+
+        monkeypatch.setattr(SimplicialComplex, "union", broken)
+        err = _census_failure()
+        assert err.splitlines()[0] == "dual of a union is not the intersection of duals"
 
 
 class TestTrialReporting:
