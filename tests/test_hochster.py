@@ -864,7 +864,7 @@ class TestConePointRule:
         # every vertex is a cone point of every link, but the slice at
         # (empty, ground) lacks {1, 2}
         [[], [1], [2], [3], [1, 3], [2, 3], [1, 2, 3]],
-    ], ids=["hollow-triangle-filled", "no-edge-12"])
+    ], ids=["vertices-and-triangle", "no-edge-12"])
     def test_a_family_not_closed_downward_is_refused(self, faces):
         K = SimplicialComplex(mask_of([1, 2, 3]), frozenset(map(mask_of, faces)))
         with pytest.raises(ValueError, match="^the face family is not closed downward$"):
