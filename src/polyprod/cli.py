@@ -162,13 +162,18 @@ def _cmd_hochster(args) -> int:
     coeff = _parse_coeff(args.coeff)
     pairs = None if args.pairs == "all" else _parse_hochster_pairs(args.pairs)
     table = hochster_table(K, coeff, pairs=pairs, cohomology=args.cohomology)
+    # each mask is rendered once, however many lines share it, and each
+    # entry once, by identity: the table holds one object for many pairs
+    mask_text = functools.cache(_mask_text)
+    tails: dict[int, list[str]] = {}
     lines = []
     for (sigma, omega), g in table.nonzero_items():
-        for d, grp in g.groups:
-            lines.append(
-                f"sigma={_mask_text(sigma)} omega={_mask_text(omega)} "
-                f"d{d}: {grp.render(coeff is not None)}"
-            )
+        tail = tails.get(id(g))
+        if tail is None:
+            tail = tails[id(g)] = [f"d{d}: {grp.render(coeff is not None)}"
+                                   for d, grp in g.groups]
+        head = f"sigma={mask_text(sigma)} omega={mask_text(omega)} "
+        lines += [head + t for t in tail]
     _print(lines)
     return 0
 

@@ -14,19 +14,21 @@ sorted(omega minus eta).  It checks a pair on windows of two face bitsets
 read once per complex and its dual, and builds the signed map only when
 read.
 
-Over all pairs a table computes no slice that holds a cone point of the
-link: a vertex v of the link support lying in every facet above sigma.
-Each face of such a slice extends by v inside it, so the slice is a cone
-with apex v and its entry is zero over Z and every field, for homology and
-cohomology (the simplest vanishing in Hochster's formula; a dominated
-vertex in the sense of Barmak and Minian).  The facets above sigma are
-read off only for a family closed downward in its ground; any other
+Over all pairs a table slices little.  It computes no slice that holds a
+cone point of the link: a vertex v of the link support lying in every
+facet above sigma.  Each face of such a slice extends by v inside it, so
+the slice is a cone with apex v and its entry is zero over Z and every
+field, for homology and cohomology (the simplest vanishing in Hochster's
+formula; a dominated vertex in the sense of Barmak and Minian).  Most
+other entries it reads off entries it already holds, by the reduced
+Mayer-Vietoris sequence (Hatcher, Algebraic Topology, section 2.2): the
+slice at (sigma, w) is the slice at (sigma, w - v) with a cone on the
+slice at (sigma + v, w - v) glued along the latter, so where one of those
+two entries is zero the entry at (sigma, w) is the other one, raised a
+degree when it is the second.  Both rules read the faces above sigma, so
+they apply only to a family closed downward in its ground; any other
 family keeps the full sweep and is refused exactly where it was before.
-The rule pays on cones, joins with a simplex, compositions with simplex
-boundaries and dense duals (rp2 joined with a tetrahedron: 0.07-0.09 to
-0.01-0.02 s on a 2-core Xeon VM); it does not on a random 12-vertex
-complex or on the dual of rp2*rp2, where it skips 5% and 18% of the
-slices and the time stays within the noise.
+:func:`hochster_table` says where they pay and where they do not.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from functools import cached_property
 from .abelian import GradedGroup, tensor_additive
 from .complexes import (
     CLOSURE_BITSET_RATIO,
+    EXPAND_CACHED_VERTICES,
     SimplicialComplex,
     _as_mask,
     _bitset_masks,
@@ -81,11 +84,25 @@ def _pair_stream(ground: int):
 
 
 def _pair_rank(ground: int):
-    # the position of a pair in index_pairs(ground): the codes of sigma and
-    # omega over the ground, read as base-3 numerals, are its 1 and 2 digits
+    # the position of a pair in index_pairs(ground): the i-th smallest
+    # ground vertex weighs 3^i in sigma and 2 * 3^i in omega, summed over
+    # one lookup table per byte of the masks that holds ground vertices
+    by_byte: dict[int, list[int]] = {}
+    weight = 1
+    for b in _bits_of(ground):
+        i = b.bit_length() - 1
+        bit = 1 << (i & 7)
+        by_byte[i & ~7] = [t + weight if c & bit else t
+                           for c, t in enumerate(by_byte.get(i & ~7, [0] * 256))]
+        weight *= 3
+    tables = [(k, table, [2 * t for t in table]) for k, table in by_byte.items()]
+
     def rank(pair):
-        sigma, omega = _codes_over(pair, ground)
-        return int(f"{sigma:b}", 3) + 2 * int(f"{omega:b}", 3)
+        sigma, omega = pair
+        r = 0
+        for k, s, o in tables:
+            r += s[sigma >> k & 255] + o[omega >> k & 255]
+        return r
     return rank
 
 
@@ -116,31 +133,35 @@ class BigradedTable:
         return _ZERO if link is None else link[1].get(omega & link[0], _ZERO)
 
     def entry(self, sigma, omega) -> GradedGroup:
-        key = (_as_mask(sigma), _as_mask(omega))
+        s = _as_mask(sigma)
+        w = _as_mask(omega)
         if self._pair_set is None:
-            held = not key[0] & key[1] and not (key[0] | key[1]) & ~self.ground
+            held = not s & w and not (s | w) & ~self.ground
         else:
-            held = key in self._pair_set
+            held = (s, w) in self._pair_set
         if not held:
-            raise KeyError(f"pair {key} is not in the table")
-        return self._at(*key)
+            raise KeyError(f"pair {(s, w)} is not in the table")
+        link = self.links.get(s)
+        return _ZERO if link is None else link[1].get(w & link[0], _ZERO)
 
     def items(self) -> "_TableItems":
         """Every (pair, entry) in table order, built as it is read."""
         return _TableItems(self)
 
-    def _nonzero(self):
-        # the nonzero (pair, entry) items in no particular order; over all
-        # pairs, each stored (sigma, w) stands for (sigma, w + x) with x
-        # any set of vertices outside sigma and its link support
-        if self.pairs is not None:
-            return [(p, g) for p, g in self.items() if g.groups]
-        out = []
+    def _stored(self):
+        # over all pairs: each face sigma with a nonzero entry, its entries
+        # by w, and the sets x of vertices outside sigma and its link
+        # support; each stored (sigma, w) stands for every (sigma, w + x)
         for sigma, (support, found) in self.links.items():
             if found:
-                rest = submasks(self.ground & ~sigma & ~support)
-                out += [((sigma, w | x), g) for w, g in found.items() for x in rest]
-        return out
+                yield sigma, found, submasks(self.ground & ~sigma & ~support)
+
+    def _nonzero(self):
+        # the nonzero (pair, entry) items in no particular order
+        if self.pairs is not None:
+            return [(p, g) for p, g in self.items() if g.groups]
+        return [((sigma, w | x), g) for sigma, found, rest in self._stored()
+                for w, g in found.items() for x in rest]
 
     def nonzero_items(self) -> tuple:
         """The nonzero (pair, entry) items, in table order."""
@@ -163,9 +184,10 @@ class _TableItems:
 
     def __iter__(self):
         t = self._table
-        at = t._at
+        get = t.links.get
         for pair in _pair_stream(t.ground) if t.pairs is None else t.pairs:
-            yield pair, at(*pair)
+            link = get(pair[0])
+            yield pair, _ZERO if link is None else link[1].get(pair[1] & link[0], _ZERO)
 
 
 def _slice_bitsets(faces, sigma: int, subsets) -> list[int]:
@@ -204,6 +226,16 @@ def _slice_bitsets(faces, sigma: int, subsets) -> list[int]:
     return bitsets
 
 
+def _slice_bitset(faces, sigma: int, omega: int) -> int:
+    # the slice at (sigma, omega) alone, as the last of _slice_bitsets(faces,
+    # sigma, submasks(omega)): one lookup per subset of omega, listed
+    # uncached (a table slices more distinct omegas than _expand keeps).
+    # Requested pairs keep _slice_bitsets, so that they and the walk share
+    # no slicing code
+    return int("".join(["1" if sigma | e in faces else "0"
+                        for e in reversed(submasks(omega))]), 2)
+
+
 def _closed_in(faces, ground: int) -> bool:
     # whether the faces lie in ``ground`` and are closed downward: on the
     # bitset of their codes when 2^n is at most CLOSURE_BITSET_RATIO times
@@ -228,30 +260,57 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     0 exactly when sigma is a face.
 
     Over all pairs the table walks the faces sigma of K, not the 3^n pairs:
-    it computes the link support S of each face once and the slice at each
-    w inside S (:func:`_slice_bitsets`), and keeps the nonzero entries.
-    The slice at (sigma, omega) has the faces of the slice at
-    (sigma, omega & S), so the two pairs share one entry.  Requested pairs
-    compute only their own slices.  Each distinct slice goes to
-    :func:`homology_of_faces` once, as the codes of its faces as subsets of
-    w: a family on vertices 1..|w|, already in the cache's canonical form.
+    it computes the link support S of each face once, finds the nonzero
+    entries at the w inside S and keeps them.  The slice at (sigma, omega)
+    has the faces of the slice at (sigma, omega & S), so the two pairs
+    share one entry.  Requested pairs slice each pair on their own.  Each
+    distinct slice goes to :func:`homology_of_faces` once, as the codes of
+    its faces as subsets of w: a family on vertices 1..|w|, already in the
+    cache's canonical form.
 
-    The walk goes down the faces in descending mask order, so each sigma + v
-    comes before sigma, and keeps the meet M(sigma) of the facets above
-    sigma: sigma itself at a facet, else the AND of M(sigma + v) over v in
-    S.  A vertex of S & M(sigma) is a cone point of the link; the slice at
-    any w holding it is a cone on it (a face tau of the slice lies in a
-    facet above sigma, which holds v, so tau + v is in the slice too), and
-    its entry is zero, so only the w inside S - M(sigma) are sliced.  The
-    rule needs K closed downward: that is checked once per table, on the
-    bitset of the face codes or face by face (the rule of
-    ``homology._closed_star``), and a family that is not closed, or has a
-    face outside its ground, keeps the full sweep, so
-    :func:`homology_of_faces` refuses it where it did before.  On the cone
-    over rp2*rp2 (13 vertices) the table takes 2.0-2.5 s with every slice
-    and 1.0 s without the cones, on a 2-core Xeon VM; on a random
-    12-vertex complex or the dual of rp2*rp2 the rule skips 5% and 18% of
-    the slices, and the time stays within the noise.
+    The faces come in descending mask order, so each sigma + v comes
+    before sigma.  The meet M(sigma) of the facets above sigma is sigma
+    itself at a facet, else the AND of M(sigma + v) over v in S.  A vertex
+    v of S & M(sigma) is a cone point of the link: the slice at any w
+    holding it is a cone on it (a face tau of the slice lies in a facet
+    above sigma, which holds v, so tau + v is in the slice too), and its
+    entry is zero, so only the w inside S - M(sigma) are walked.
+
+    For v in w, the slice at (sigma, w) is the union of A, the slice at
+    (sigma, w - v), and the cone with apex v on B, the slice at
+    (sigma + v, w - v); the faces of the slice without v are A's, those
+    with v are the faces of B with v added, and B lies in A.  A, the cone
+    and B all hold the empty face, so the Mayer-Vietoris sequence of their
+    augmented chain complexes is exact, over Z with its torsion and over
+    every field, for homology and cohomology, and the cone is acyclic.
+    So where B's entry is zero, the entry at (sigma, w) is A's; where A's
+    is zero, it is B's one degree up; where both are, it is zero.  B's
+    entry is the one stored for sigma + v at (w - v) & S(sigma + v).  The
+    walk takes the w by top vertex t, ascending, and the w of one top in
+    ascending order, so every w - v is known before w.  A w = x + t can be
+    nonzero only if the entry at (sigma, x) or at (sigma + t, x) is: x is
+    one of the nonzero w already found, or a nonzero w' of sigma + t below
+    t with any vertices of S below t outside S(sigma + t) added.  Each
+    such w takes its entry at the first v, from t down, where A's or B's
+    entry is zero, and is sliced (:func:`_slice_bitset`) only where both
+    are nonzero at every v.  Both rules need K closed downward: that is
+    checked once per table, on the bitset of the face codes or face by
+    face (the rule of ``homology._closed_star``), and a family that is not
+    closed, or has a face outside its ground, keeps the full sweep over
+    every w inside S (:func:`_slice_bitsets`), so
+    :func:`homology_of_faces` refuses it where it did before.
+
+    On a 2-core Xeon VM under Python 3.11 the walk visits 71,190 w of a
+    random 12-vertex complex (``random_complex(Random(7), 1..12)``) and
+    slices 22,693, where slicing every w outside the cone points takes
+    504,922, and its table goes from 1.2-1.7 s and 46 MiB to 0.2 s and
+    20 MiB; at 13 vertices (8,070 faces) 5.6-6.1 s and 113 MiB go to
+    0.6-0.8 s and 28 MiB, and rp2*rp2, its dual and its cone go from 0.8,
+    1.1 and 0.7-0.9 s to 0.1, 0.2 and 0.1-0.2 s.  It pays least where most
+    entries are nonzero, since each of them is visited and many are
+    sliced: 150 random 6-subsets of 12 vertices (169,751 stored entries)
+    go from 7.9-9.0 s to 4.4-4.8 s, and 300 random 7-subsets of 14
+    vertices (1,660,211) from 153 s to 101 s, one run each.
     """
     faces = K.faces
     ground = K.ground
@@ -267,24 +326,69 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
 
     links: dict[int, tuple[int, dict[int, GradedGroup]]] = {}
     if pairs is None:
-        # meets[sigma]: the meet of the facets above sigma, for a family
-        # closed downward in its ground; each sigma + v comes before sigma
-        meets = {} if _closed_in(faces, ground) else None
+        if not _closed_in(faces, ground):
+            # the full sweep: homology_of_faces refuses what is not closed
+            for sigma in sorted(faces, reverse=True):
+                support = _link_support(faces, sigma, ground & ~sigma)
+                subsets = submasks(support)
+                found = {}
+                for w, b in zip(subsets, _slice_bitsets(faces, sigma, subsets)):
+                    g = group(b, w.bit_count())
+                    if g.groups:
+                        found[w] = g
+                links[sigma] = (support, found)
+            return BigradedTable(ground, links, cohomology)
+        # meets[sigma]: the meet of the facets above sigma; each sigma + v
+        # comes before sigma
+        meets = {}
+        # the stored entries raised one degree, by identity: each is raised
+        # once, and the entries it gives share that one object (a random
+        # 12-vertex table peaks at 20 MiB so, at 27 MiB raising each one
+        # apart); a key's entry stays alive in ``links``
+        raised: dict[int, GradedGroup] = {}
         for sigma in sorted(faces, reverse=True):
             support = _link_support(faces, sigma, ground & ~sigma)
-            span = support
-            if meets is not None:
-                meet = -1
-                for b in _bits_of(support):
-                    meet &= meets[sigma | b]
-                meets[sigma] = meet = meet if support else sigma
-                span &= ~meet
-            subsets = submasks(span)
-            found = {}
-            for w, b in zip(subsets, _slice_bitsets(faces, sigma, subsets)):
-                g = group(b, w.bit_count())
-                if g.groups:
-                    found[w] = g
+            meet = -1
+            for b in _bits_of(support):
+                meet &= meets[sigma | b]
+            meets[sigma] = meet = meet if support else sigma
+            span = support & ~meet
+            found = {0: group(1, 0)}  # the slice {empty} at (sigma, empty)
+            for t in _bits_of(span):
+                # the w = x + t with top vertex t, nonzero only where the
+                # entry at (sigma, x) or at (sigma + t, x) is
+                up_support, up_found = links[sigma | t]
+                below = span & (t - 1)
+                xs = set(found)
+                rest = submasks(below & ~up_support)
+                for u in up_found:
+                    if not u & ~below:
+                        xs.update([u | y for y in rest])
+                for x in sorted(xs):
+                    w = x | t
+                    v = t
+                    while True:
+                        # at v: A is the slice at (sigma, w - v), B the one
+                        # at (sigma + v, w - v)
+                        a = found.get(w ^ v)
+                        v_support, v_found = links[sigma | v]
+                        b = v_found.get((w ^ v) & v_support)
+                        if b is None:
+                            g = a
+                            break
+                        if a is None:
+                            g = raised.get(id(b))
+                            if g is None:
+                                g = raised[id(b)] = b.shift(1)
+                            break
+                        # both nonzero: the next vertex of x down, if any
+                        v = (x & (v - 1)).bit_length()
+                        if not v:
+                            g = group(_slice_bitset(faces, sigma, w), w.bit_count())
+                            break
+                        v = 1 << v - 1
+                    if g is not None and g.groups:
+                        found[w] = g
             links[sigma] = (support, found)
         return BigradedTable(ground, links, cohomology)
     pair_list = [(_as_mask(s), _as_mask(w)) for s, w in pairs]
@@ -312,7 +416,7 @@ class DualityCheckError(AssertionError):
     """A structural duality identity failed to verify."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DualityWitness:
     """A verified signed bijection between a slice pair and its dual.
 
@@ -334,6 +438,12 @@ class DualityWitness:
     omega: int
     nonfaces: int = field(repr=False)
     omega_code: int = field(repr=False)
+
+    def __init__(self, sigma: int, omega: int, nonfaces: int, omega_code: int):
+        # one update of the instance dict, where the generated __init__ of a
+        # frozen class makes one object.__setattr__ call per field
+        self.__dict__.update(sigma=sigma, omega=omega, nonfaces=nonfaces,
+                             omega_code=omega_code)
 
     @cached_property
     def taking(self) -> tuple[tuple[int, tuple[tuple[int, tuple[int, int]], ...]], ...]:
@@ -364,28 +474,30 @@ class DualityWitness:
 
 
 # The face bitsets of the last (K, dual) pair that a witness read, with
-# weak references to both complexes.  Keyed on identity, not on value: a
-# complex equal to an earlier one may slice differently (a planted fault in
-# ``slice`` must reach every call), and a weak entry keeps no complex alive
-_last_windows: tuple = (None, None, 0, 0)
+# weak references to both complexes, and the cube of each omega code read
+# since, by code: on grounds of up to EXPAND_CACHED_VERTICES vertices, at
+# most 4,096 cubes of at most 4,096 bits (None above that).  Keyed on
+# identity, not on value: a complex equal to an earlier one may slice
+# differently (a planted fault in ``slice`` must reach every call), and a
+# weak entry keeps no complex alive
+_last_windows: tuple = (None, None, 0, 0, None)
 
 
-def _face_windows(K: SimplicialComplex, dual: SimplicialComplex) -> tuple[int, int]:
-    # over the codes c of K's ground: bit c of the first is set when code c
-    # is a face of K, bit c of the second when its complement is a dual
-    # face, both read through ``slice`` at (empty, ground)
+def _face_windows(K: SimplicialComplex, dual: SimplicialComplex):
+    # a new record for (K, dual): over the codes c of K's ground, bit c of
+    # the first bitset is set when code c is a face of K, bit c of the
+    # second when its complement is a dual face, both read through
+    # ``slice`` at (empty, ground); no cube yet
     global _last_windows
-    k_ref, dual_ref, faces, cofaces = _last_windows
-    if k_ref is not None and k_ref() is K and dual_ref() is dual:
-        return faces, cofaces
     g = K.ground
     n = g.bit_count()
     top = (1 << n) - 1
     faces = _code_bitset(_codes_over(K.slice(0, g).faces, g), n)
     cofaces = _code_bitset(
         [top ^ c for c in _codes_over(dual.slice(0, g).faces, g)], n)
-    _last_windows = (weakref.ref(K), weakref.ref(dual), faces, cofaces)
-    return faces, cofaces
+    cubes = {} if n <= EXPAND_CACHED_VERTICES else None
+    _last_windows = (weakref.ref(K), weakref.ref(dual), faces, cofaces, cubes)
+    return faces, cofaces, cubes
 
 
 def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
@@ -406,7 +518,9 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
     omega's code, they give the faces of the slice and the subsets of omega
     whose complements are dual faces, so a pair costs a few big-integer
     operations.  A sweep over the pairs of one complex reads the bitsets
-    once; they cost 2^|ground| bits, however small omega is.
+    once; they cost 2^|ground| bits, however small omega is.  The same
+    record keeps the cube of each omega code (the bit of every code inside
+    it), and over a ground 1..n the codes are the masks themselves.
 
     Given the bijection, two identities hold for every K and are not
     checked per pair: eta - v is a generator exactly when
@@ -431,11 +545,17 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
     dual = precomputed_dual if precomputed_dual is not None else K.dual(amb)
     if dual.ground != amb:
         raise ValueError("precomputed dual does not match the ambient set")
-    faces, cofaces = _face_windows(K, dual)
-    sc, wc = _codes_over((s, w), amb)
-    cube = 1  # bit t for each code t inside omega's code
-    for b in _bits_of(wc):
-        cube |= cube << b
+    k_ref, dual_ref, faces, cofaces, cubes = _last_windows
+    if k_ref is None or k_ref() is not K or dual_ref() is not dual:
+        faces, cofaces, cubes = _face_windows(K, dual)
+    sc, wc = (s, w) if not amb & (amb + 1) else _codes_over((s, w), amb)
+    cube = None if cubes is None else cubes.get(wc)
+    if cube is None:
+        cube = 1  # bit t for each code t inside omega's code
+        for b in _bits_of(wc):
+            cube |= cube << b
+        if cubes is not None:
+            cubes[wc] = cube
     in_slice = faces >> sc & cube
     hits = cofaces >> sc & cube
     nonfaces = cube ^ in_slice
@@ -467,28 +587,74 @@ def slice_duality_mismatches(table: BigradedTable,
     that fails, with d the first failing degree; nothing for a pair that
     agrees.
 
-    Over all pairs only the pairs where either side is nonzero can fail:
-    the nonzero entries of ``table`` and the complements of the nonzero
-    entries of ``dual_cohomology``, sorted into table order.
+    Over all pairs only the pairs where either side is nonzero can fail.
+    Each stored nonzero entry of ``table`` is compared at every pair it
+    stands for; a pair where only the dual side is nonzero fails whatever
+    its entry.  There is none when no pair failed and both tables hold as
+    many nonzero pairs with nonempty omega, since the complement then maps
+    the first set one to one into the second; otherwise the stored
+    entries of ``dual_cohomology`` are walked the same way.  Only the
+    failing pairs are sorted into table order.
     """
     g = table.ground
-    if table.pairs is None:
-        candidates = {p for p, _ in table._nonzero() if p[1]}
-        candidates.update((g & ~(tau | omega), omega)
-                          for (tau, omega), _ in dual_cohomology._nonzero() if omega)
-        candidates = sorted(candidates, key=_pair_rank(g))
-    else:
-        candidates = [p for p in table.pairs if p[1]]
-    for sigma, omega in candidates:
-        lhs = table._at(sigma, omega)
-        rhs = dual_cohomology.entry(g & ~(sigma | omega), omega)
-        wsize = omega.bit_count()
-        if lhs.groups == tuple((wsize - e - 1, grp) for e, grp in reversed(rhs.groups)):
-            continue
-        for d in sorted({*lhs.degrees(), *(wsize - e - 1 for e in rhs.degrees())}):
-            if lhs.at(d) != rhs.at(wsize - d - 1):
-                yield sigma, omega, (d, lhs.at(d), rhs.at(wsize - d - 1))
-                break
+    if table.pairs is not None or dual_cohomology.pairs is not None \
+            or dual_cohomology.ground != g:
+        for (sigma, omega), lhs in table.items():
+            if omega:
+                rhs = dual_cohomology.entry(g & ~(sigma | omega), omega)
+                failure = _first_mismatch(lhs, rhs, omega.bit_count())
+                if failure is not None:
+                    yield sigma, omega, failure
+        return
+    links = table.links
+    co_links = dual_cohomology.links
+    failing = []
+    count = 0  # nonzero pairs with nonempty omega: the table's less the dual's
+    for sigma, found, rest in table._stored():
+        free = g & ~sigma
+        count += len(found) * len(rest) - (0 in found)
+        for w, lhs in found.items():
+            wants = {}  # by |omega|: the groups of the dual entry that agrees
+            for x in rest:
+                omega = w | x
+                if omega:
+                    link = co_links.get(free ^ omega)
+                    rhs = _ZERO if link is None else link[1].get(omega & link[0], _ZERO)
+                    size = omega.bit_count()
+                    want = wants.get(size)
+                    if want is None:
+                        want = wants[size] = tuple(
+                            (size - d - 1, grp) for d, grp in reversed(lhs.groups))
+                    if rhs.groups != want:
+                        failing.append(
+                            (sigma, omega, _first_mismatch(lhs, rhs, size)))
+    for _, found, rest in dual_cohomology._stored():
+        count -= len(found) * len(rest) - (0 in found)
+    if failing or count:
+        for tau, found, rest in dual_cohomology._stored():
+            free = g & ~tau
+            for w, rhs in found.items():
+                for x in rest:
+                    omega = w | x
+                    if omega:
+                        sigma = free ^ omega
+                        link = links.get(sigma)
+                        if link is None or omega & link[0] not in link[1]:
+                            failing.append((sigma, omega, _first_mismatch(
+                                _ZERO, rhs, omega.bit_count())))
+    rank = _pair_rank(g)
+    failing.sort(key=lambda failure: rank(failure[:2]))
+    yield from failing
+
+
+def _first_mismatch(lhs: GradedGroup, rhs: GradedGroup, wsize: int):
+    # (d, lhs at d, rhs at |omega| - d - 1) at the first degree d where the
+    # two sides differ, or None
+    if lhs.groups == tuple((wsize - e - 1, grp) for e, grp in reversed(rhs.groups)):
+        return None
+    for d in sorted({*lhs.degrees(), *(wsize - e - 1 for e in rhs.degrees())}):
+        if lhs.at(d) != rhs.at(wsize - d - 1):
+            return d, lhs.at(d), rhs.at(wsize - d - 1)
 
 
 def duality_group_sides(K: SimplicialComplex, sigma, omega):

@@ -892,6 +892,67 @@ class TestConePointRule:
             hochster_table(K, pairs=pairs).items())
 
 
+class TestMayerVietorisWalk:
+    """Over all pairs, most entries are read off entries already found.
+
+    The slice at (sigma, w) is the slice at (sigma, w - v) with a cone on
+    the slice at (sigma + v, w - v) glued along the latter, so where one of
+    those entries is zero the other gives the entry, and only a w whose two
+    neighbours are nonzero at every v of w is sliced.
+    """
+
+    def test_rp2_join_triangle_boundary_asks_for_three_families(self, monkeypatch):
+        # rp2 joined with the triangle boundary, 224 faces: slicing every w
+        # outside the cone points asks for 204 distinct families
+        real = hochster.homology_of_faces
+        keys = []
+
+        def counting(faces, *args, **kwargs):
+            keys.append(tuple(faces))
+            return real(faces, *args, **kwargs)
+
+        K = join([rp2_complex(), SimplicialComplex.boundary_simplex((7, 8, 9))])
+        assert len(K.faces) == 224
+        # bound the way perfbench's tracer binds it
+        monkeypatch.setattr(hochster, "homology_of_faces", counting)
+        table = hochster_table(K)
+        assert len(keys) == len(set(keys)) == 3
+        # the join's reduced homology, Z/2 in degree 3, one degree up
+        assert v_entry(table.entry(0, K.ground)) == {4: FgAbelianGroup(0, (2,))}
+
+    def test_planted_entries_fail_at_their_pairs_in_table_order(self):
+        # every vertex of rp2 is a face, so each entry stored at the empty
+        # face stands for one pair.  Drop the first nonzero one (only the
+        # dual side is nonzero there) and give (empty, ground) a wrong
+        # group: the sweep finds the second first and yields both in order
+        K = rp2_complex()
+        g = K.ground
+        true = hochster_table(K)
+        co_dual = hochster_table(K.dual(g), cohomology=True)
+        support, found = true.links[0]
+        assert support == g
+        first = min(w for w in found if w)
+        planted = dict(found)
+        del planted[first]
+        planted[g] = GradedGroup(((2, Z_GROUP),))
+        links = dict(true.links)
+        links[0] = (support, planted)
+        table = hochster.BigradedTable(g, links)
+        got = list(slice_duality_mismatches(table, co_dual))
+        assert [(sigma, omega) for sigma, omega, _ in got] == [(0, first), (0, g)]
+        # the comparison at every pair, in table order, finds the same
+        want = []
+        for sigma, omega in index_pairs(g):
+            k = omega.bit_count()
+            lhs = table.entry(sigma, omega)
+            rhs = co_dual.entry(g & ~(sigma | omega), omega)
+            for d in range(-1, k + 1):
+                if omega and lhs.at(d) != rhs.at(k - d - 1):
+                    want.append((sigma, omega, (d, lhs.at(d), rhs.at(k - d - 1))))
+                    break
+        assert got == want
+
+
 class TestHochsterCompositionFormula:
     def test_two_point_outer_with_two_point_factors(self):
         K = two_points()

@@ -607,6 +607,25 @@ class TestScale:
         assert seconds < 8, f"took {seconds:.1f} s"
         assert rss_mb < 100, f"peak RSS {rss_mb:.0f} MiB"
 
+    def test_slice_table_on_13_vertices_in_three_seconds_and_50_mb(self):
+        # 1,594,323 pairs and 132,034 stored nonzero entries.  On a 2-core
+        # Xeon VM under Python 3.11 the table took 5.8 s and 114 MiB peak
+        # RSS slicing every w of each link support outside its cone points,
+        # and takes 0.6-0.8 s and 30 MiB read off by Mayer-Vietoris
+        lines, seconds, rss_mb = _run_isolated(
+            "import random\n"
+            "from polyprod import hochster_table, random_complex, reduced_homology\n"
+            "K = random_complex(random.Random(7), range(1, 14))\n"
+            "table = hochster_table(K)\n"
+            "print(len(K.faces), sum(len(found) for _, found in table.links.values()))\n"
+            "print(*table.entry(0, K.ground).render_lines())\n"
+            "print(*reduced_homology(K).render_lines())",
+            timeout=120,
+        )
+        assert lines == ["8070 132034", "d9: Z^10", "d8: Z^10"]
+        assert seconds < 3, f"took {seconds:.1f} s"
+        assert rss_mb < 50, f"peak RSS {rss_mb:.0f} MiB"
+
     def test_piece_formula_of_a_four_cycle_of_triangles_in_60_mb(self):
         # 12 vertices, 531,441 pairs, 15,876 of them nonzero in the
         # composition's table.  On a 2-core Xeon VM under Python 3.11 the
