@@ -25,8 +25,8 @@ Mayer-Vietoris sequence (Hatcher, Algebraic Topology, section 2.2): the
 slice at (sigma, w) is the slice at (sigma, w - v) with a cone on the
 slice at (sigma + v, w - v) glued along the latter, so where one of those
 two entries is zero the entry at (sigma, w) is the other one, raised a
-degree when it is the second.  Both rules read the faces above sigma, so
-they apply only to a family closed downward in its ground; any other
+degree when it is the second.  Both rules hold for a family closed
+downward in its ground, and only such a family takes them; any other
 family keeps the full sweep and is refused exactly where it was before.
 :func:`hochster_table` says where they pay and where they do not.
 """
@@ -54,6 +54,7 @@ from .complexes import (
     _positions,
     _require_in_ground,
     composition_complex,
+    mask_of,
     submasks,
     vertices_of,
 )
@@ -133,8 +134,9 @@ class BigradedTable:
         return _ZERO if link is None else link[1].get(omega & link[0], _ZERO)
 
     def entry(self, sigma, omega) -> GradedGroup:
-        s = _as_mask(sigma)
-        w = _as_mask(omega)
+        # _as_mask inline: a sweep looks up every pair
+        s = sigma if isinstance(sigma, int) else mask_of(sigma)
+        w = omega if isinstance(omega, int) else mask_of(omega)
         if self._pair_set is None:
             held = not s & w and not (s | w) & ~self.ground
         else:
@@ -532,8 +534,9 @@ def alexander_duality_witness(K: SimplicialComplex, sigma, omega, *,
     ``precomputed_dual`` skips recomputing the dual of K when a caller
     sweeps many pairs of one complex; it must equal ``K.dual(K.ground)``.
     """
-    s = _as_mask(sigma)
-    w = _as_mask(omega)
+    # _as_mask inline: a sweep calls the witness at every pair
+    s = sigma if isinstance(sigma, int) else mask_of(sigma)
+    w = omega if isinstance(omega, int) else mask_of(omega)
     if w == 0:
         raise ValueError("the duality witness requires a nonempty omega")
     amb = K.ground
