@@ -88,15 +88,17 @@ def _pair_rank(ground: int):
     # the position of a pair in index_pairs(ground): the i-th smallest
     # ground vertex weighs 3^i in sigma and 2 * 3^i in omega, summed over
     # one lookup table per byte of the masks that holds ground vertices
-    by_byte: dict[int, list[int]] = {}
+    tables = []
     weight = 1
-    for b in _bits_of(ground):
-        i = b.bit_length() - 1
-        bit = 1 << (i & 7)
-        by_byte[i & ~7] = [t + weight if c & bit else t
-                           for c, t in enumerate(by_byte.get(i & ~7, [0] * 256))]
-        weight *= 3
-    tables = [(k, table, [2 * t for t in table]) for k, table in by_byte.items()]
+    for k in sorted({b.bit_length() - 1 & ~7 for b in _bits_of(ground)}):
+        table = [0]
+        for i in range(k, k + 8):
+            if ground >> i & 1:
+                table += [t + weight for t in table]
+                weight *= 3
+            else:
+                table += table
+        tables.append((k, table, [2 * t for t in table]))
 
     def rank(pair):
         sigma, omega = pair
@@ -645,8 +647,9 @@ def slice_duality_mismatches(table: BigradedTable,
                         if link is None or omega & link[0] not in link[1]:
                             failing.append((sigma, omega, _first_mismatch(
                                 _ZERO, rhs, omega.bit_count())))
-    rank = _pair_rank(g)
-    failing.sort(key=lambda failure: rank(failure[:2]))
+    if failing:
+        rank = _pair_rank(g)
+        failing.sort(key=lambda failure: rank(failure[:2]))
     yield from failing
 
 
