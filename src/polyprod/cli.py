@@ -23,7 +23,7 @@ from .documents import ComplexDocument, document_of, parse_document
 from .homology import GF, RATIONALS, reduced_cohomology, reduced_homology
 from .hochster import hochster_table
 from .spaces import SpherePairSystem, sphere_pair_homology
-from .verify import SUITES, run_suite
+from .verify import SUITES, SuiteResult, TrialLog, suite_trials
 
 
 def _read_document(path: str) -> ComplexDocument:
@@ -221,13 +221,14 @@ def _cmd_moment_angle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = run_suite(
-        args.suite,
-        trials=args.trials,
-        max_vertices=args.max_vertices,
-        seed=args.seed,
-    )
-    _print(result.report_lines())
+    # each trial's lines go out as it is read, and the log keeps the
+    # failures, so memory grows with failures, not trials
+    log = TrialLog(args.suite)
+    for t in suite_trials(args.suite, args.trials, args.max_vertices, args.seed):
+        _print(t.lines())
+        log.append(t)
+    result = SuiteResult(args.suite, log)
+    _print([result.summary()])
     return 0 if result.ok else 1
 
 

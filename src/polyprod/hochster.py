@@ -37,7 +37,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .abelian import GradedGroup, tensor_additive
+from .abelian import GradedGroup, graded_tensor, tensor_additive
 from .complexes import (
     CLOSURE_BITSET_RATIO,
     EXPAND_CACHED_VERTICES,
@@ -706,7 +706,7 @@ def composition_homology(K: SimplicialComplex, factors,
     comp = composition_complex(K, factors)
     direct = reduced_homology(comp, coeff)
     parts = [reduced_homology(K, coeff)] + [reduced_homology(L, coeff) for L in factors]
-    formula = tensor_additive(g.shift(1) for g in parts).shift(-1)
+    formula = graded_tensor(parts)
     if direct != formula:
         raise DualityCheckError(
             f"composition homology mismatch: direct {direct} vs formula {formula}"

@@ -15,6 +15,8 @@ into the trial loop.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -116,27 +118,96 @@ class Trial:
         return [head] + ["  " + l for l in self.counterexample.splitlines()]
 
 
+class TrialLog(Sequence):
+    """A suite's trials in memory that grows with its failures, not its trials.
+
+    A passing trial under the log's suite name whose seed is one past the
+    previous pass's extends that run of seeds; any other trial is kept as it
+    came.  Reading rebuilds ``Trial(seed, suite, True)`` for a run's seeds,
+    and the log compares and hashes like the tuple of its trials.
+    """
+
+    __slots__ = ("suite", "_parts", "_ends")
+
+    def __init__(self, suite: str, trials=()):
+        self.suite = suite
+        self._parts: list[range | Trial] = []
+        self._ends: list[int] = []  # trials up to and including each part
+        for t in trials:
+            self.append(t)
+
+    def append(self, trial: Trial) -> None:
+        end = len(self) + 1
+        if trial.ok and not trial.counterexample and trial.suite == self.suite:
+            last = self._parts[-1] if self._parts else None
+            if isinstance(last, range) and last.stop == trial.seed:
+                self._parts[-1], self._ends[-1] = range(last.start, trial.seed + 1), end
+                return
+            trial = range(trial.seed, trial.seed + 1)
+        self._parts.append(trial)
+        self._ends.append(end)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]  # bounds and negative indices as for a tuple
+        if isinstance(at, range):
+            return tuple(self[j] for j in at)
+        k = bisect_right(self._ends, at)
+        part = self._parts[k]
+        if isinstance(part, Trial):
+            return part
+        return Trial(part[at - self._ends[k]], self.suite, True)  # back from its end
+
+    def __iter__(self):
+        for part in self._parts:
+            if isinstance(part, Trial):
+                yield part
+            else:
+                yield from (Trial(seed, self.suite, True) for seed in part)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TrialLog, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"TrialLog({self.suite!r}, {self._parts!r})"
+
+
 @dataclass(frozen=True)
 class SuiteResult:
+    """One suite's trials, held as a :class:`TrialLog` of the trials given."""
+
     suite: str
-    trials: tuple[Trial, ...]
+    trials: TrialLog
+
+    def __post_init__(self):
+        if not isinstance(self.trials, TrialLog):
+            object.__setattr__(self, "trials", TrialLog(self.suite, self.trials))
 
     @property
     def ok(self) -> bool:
-        return all(t.ok for t in self.trials)
+        return not self.failures
 
     @property
     def failures(self) -> tuple[Trial, ...]:
-        return tuple(t for t in self.trials if not t.ok)
+        # a run of seeds holds passes only
+        return tuple(t for t in self.trials._parts if isinstance(t, Trial) and not t.ok)
+
+    def summary(self) -> str:
+        return (f"suite {self.suite}: {len(self.trials)} trials, "
+                f"{len(self.failures)} failures")
 
     def report_lines(self) -> list[str]:
         lines = []
         for t in self.trials:
             lines.extend(t.lines())
-        lines.append(
-            f"suite {self.suite}: {len(self.trials)} trials, "
-            f"{len(self.failures)} failures"
-        )
+        lines.append(self.summary())
         return lines
 
 
@@ -247,7 +318,7 @@ def _dual_failure(K: SimplicialComplex, d: SimplicialComplex | None = None):
     if d.dual(g) != K:
         return "dual applied twice does not return the original"
     # the two checks above pass for the non-faces of K left uncomplemented
-    if not K.faces.isdisjoint(g ^ f for f in d.faces):
+    if not K.faces.isdisjoint(map(g.__xor__, d.faces)):
         return "a face of the dual complements a face of the complex"
     return None
 
@@ -738,9 +809,9 @@ SUITES = {
 }
 
 
-def run_suite(name: str, trials: int | None = None,
-              max_vertices: int | None = None, seed: int = 0) -> SuiteResult:
-    """Run one named suite and collect its trials."""
+def suite_trials(name: str, trials: int | None = None,
+                 max_vertices: int | None = None, seed: int = 0):
+    """The trials of one named suite, each run as it is read."""
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r}; choose one of: {known}")
@@ -751,4 +822,10 @@ def run_suite(name: str, trials: int | None = None,
         raise ValueError("trial count must be nonnegative")
     if mv < 1:
         raise ValueError("max vertices must be at least 1")
-    return SuiteResult(name, tuple(spec.fn(t, mv, seed)))
+    return spec.fn(t, mv, seed)
+
+
+def run_suite(name: str, trials: int | None = None,
+              max_vertices: int | None = None, seed: int = 0) -> SuiteResult:
+    """Run one named suite and collect its trials."""
+    return SuiteResult(name, suite_trials(name, trials, max_vertices, seed))

@@ -391,6 +391,33 @@ class TestCliVerify:
             "suite always-fail: 1 trials, 1 failures\n"
         )
 
+    def test_lines_stream_as_the_report_reads(self, capsys, monkeypatch):
+        real_print = cli._print
+        printed = []
+        heard = []
+
+        def fake(trials, max_vertices, seed):
+            for i in range(trials):
+                # each trial is drawn only once the one before it is printed
+                heard.append(len(printed))
+                if i in (0, 2, 5):
+                    yield Trial(seed + i, "streamed", False, f"planted {i}\nground: [1]")
+                else:
+                    yield Trial(seed + i, "streamed", True)
+
+        def recording(lines):
+            printed.append(list(lines))
+            real_print(lines)
+
+        monkeypatch.setitem(verify.SUITES, "streamed", SuiteSpec(fake, 7, 1, "planted"))
+        monkeypatch.setattr(cli, "_print", recording)
+        code, out, _ = run_cli(capsys, "verify", "streamed", "--seed", "40")
+        assert code == 1
+        assert heard == list(range(7))
+        report = verify.run_suite("streamed", seed=40).report_lines()
+        assert out == "\n".join(report) + "\n"
+        assert report[-1] == "suite streamed: 7 trials, 3 failures"
+
     def test_raising_check_is_a_failed_trial(self, capsys, monkeypatch):
         def broken(K, pairs):
             raise ValueError("planted")

@@ -792,9 +792,9 @@ class TestCompositionHomology:
     def test_formula_mismatch_raises(self, monkeypatch):
         import polyprod.hochster as hoch
 
-        real = hoch.tensor_additive
+        real = hoch.graded_tensor
         monkeypatch.setattr(
-            hoch, "tensor_additive", lambda fs: real(list(fs)).shift(1)
+            hoch, "graded_tensor", lambda fs: real(list(fs)).shift(1)
         )
         with pytest.raises(DualityCheckError, match="mismatch"):
             composition_homology(tri(), _segment_blocks(3))

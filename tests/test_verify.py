@@ -1,6 +1,7 @@
 """The randomized verification suites and their support machinery."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +21,9 @@ from polyprod.verify import (
     RP2_FACETS,
     SUITES,
     SuiteResult,
+    SuiteSpec,
     Trial,
+    TrialLog,
     _de_morgan_failure,
     _dual_failure,
     cone_over_rp2,
@@ -122,6 +125,84 @@ class TestTrialReporting:
         lines = r.report_lines()
         assert lines[-1] == "suite dual: 2 trials, 1 failures"
         assert lines[0] == "TRIAL 0 dual PASS"
+
+
+# passes in runs of seeds, failures between them, a gap in the seeds, a
+# pass under another suite name and a pass that carries text
+MIXED = (
+    Trial(10, "s", True), Trial(11, "s", True), Trial(12, "s", True),
+    Trial(13, "s", False, "broke\nground: [1]"),
+    Trial(14, "s", True), Trial(16, "s", True),
+    Trial(17, "other", True), Trial(18, "s", True, "a note"),
+    Trial(19, "s", False, "x"), Trial(20, "s", True), Trial(21, "s", True),
+)
+
+
+class TestTrialLog:
+    def test_reads_like_the_tuple_of_its_trials(self):
+        log = SuiteResult("s", MIXED).trials
+        assert isinstance(log, TrialLog)
+        assert len(log) == len(MIXED)
+        assert list(log) == list(MIXED)
+        for i in range(-len(MIXED), len(MIXED)):
+            assert log[i] == MIXED[i], i
+        for i in (len(MIXED), -len(MIXED) - 1):
+            with pytest.raises(IndexError):
+                log[i]
+        for cut in (slice(1, None), slice(None, None, -1), slice(2, 9, 3),
+                    slice(-4, -1), slice(5, 5)):
+            assert log[cut] == MIXED[cut], cut
+
+    def test_compares_and_hashes_like_the_tuple(self):
+        log = TrialLog("s", MIXED)
+        assert log == MIXED and MIXED == log and not log != MIXED
+        assert hash(log) == hash(MIXED)
+        assert log == TrialLog("s", iter(MIXED))
+        assert log != MIXED[:-1] and log != MIXED[1:] + MIXED[:1]
+        assert log != list(MIXED)
+        assert TrialLog("s") == () and len(TrialLog("s")) == 0
+        built = SuiteResult("s", MIXED)
+        assert built == SuiteResult("s", log) and hash(built) == hash(SuiteResult("s", log))
+
+    def test_passes_run_by_seed_and_the_rest_is_kept(self):
+        log = TrialLog("s", MIXED)
+        assert log._parts == [
+            range(10, 13), MIXED[3], range(14, 15), range(16, 17),
+            MIXED[6], MIXED[7], MIXED[8], range(20, 22),
+        ]
+        kept = [p for p in log._parts if isinstance(p, Trial)]
+        assert all(k is g for k, g in zip(kept, MIXED[3:4] + MIXED[6:9]))
+        result = SuiteResult("s", log)
+        assert result.failures == (MIXED[3], MIXED[8])
+        assert not result.ok
+        assert result.report_lines() == [
+            line for t in MIXED for line in t.lines()
+        ] + ["suite s: 11 trials, 2 failures"]
+
+    def test_a_suite_with_gapped_seeds_and_another_name(self, monkeypatch):
+        def fake(trials, max_vertices, seed):
+            for i in range(trials):
+                yield Trial(seed + 2 * i, "fake" if i % 3 else "renamed", True)
+
+        monkeypatch.setitem(SUITES, "fake", SuiteSpec(fake, 7, 1, "gapped"))
+        result = run_suite("fake", seed=100)
+        expect = tuple(fake(7, 1, 100))
+        assert result.trials == expect and len(result.trials) == 7
+        assert result.ok and result.failures == ()
+        assert result.trials[2:5] == expect[2:5]
+        assert result.report_lines()[-1] == "suite fake: 7 trials, 0 failures"
+
+    def test_a_passing_run_keeps_little_memory(self):
+        # holding every Trial kept about 2.7 MiB here (tracemalloc, Python
+        # 3.11); the runs of seeds keep about 5 KiB
+        tracemalloc.start()
+        try:
+            result = run_suite("slice-dual", trials=20_000, max_vertices=3)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.ok and len(result.trials) == 20_000
+        assert retained < 64 * 1024, retained
 
 
 class TestRunSuite:
