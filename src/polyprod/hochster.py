@@ -26,9 +26,8 @@ slice at (sigma, w) is the slice at (sigma, w - v) with a cone on the
 slice at (sigma + v, w - v) glued along the latter, so where one of those
 two entries is zero the entry at (sigma, w) is the other one, raised a
 degree when it is the second.  Both rules hold for a family closed
-downward in its ground, and only such a family takes them; any other
-family keeps the full sweep and is refused exactly where it was before.
-:func:`hochster_table` says where they pay and where they do not.
+downward in its ground, so a table over all pairs refuses any other family
+before it slices.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from .complexes import (
     _move_faces,
     _positions,
     _require_in_ground,
+    _slice_faces,
     composition_complex,
     mask_of,
     submasks,
@@ -194,59 +194,20 @@ class _TableItems:
             yield pair, _ZERO if link is None else link[1].get(pair[1] & link[0], _ZERO)
 
 
-def _slice_bitsets(faces, sigma: int, subsets) -> list[int]:
-    """The slices of a face sigma at each of ``subsets``, as bitsets.
-
-    ``subsets`` is ``submasks(span)`` of some span.  Entry c is the slice
-    at (sigma, omega), omega the subset of code c: bit i is set when the
-    subset of code i of omega is in the slice.  The set bits are the codes
-    of the slice's faces, which :func:`homology_of_faces` takes as they
-    are.  Entry c starts as the flag of sigma + omega being a face; the
-    pass for code bit j then appends, in place, to each omega holding the
-    vertex v of that bit, the slice of sigma + v at omega - v after the
-    slice of sigma there.  A span of k vertices costs k 2^(k-1)
-    big-integer steps in all, where listing each slice's codes one by one
-    costs 3^k.
-    """
-    bitsets = [sigma | e in faces for e in subsets]
-    size = len(bitsets)
-    shifts = [1]  # entry o: 2^|o|, the shift at offset o of a run of the pass
-    h = 1  # the code bit of the pass
-    while h < size:
-        step = 2 * h
-        # the codes with bit h set come as size / step runs of h codes; the
-        # pass goes run by run or, while runs outnumber their codes, by
-        # offset within the runs
-        if h * step <= size:
-            for o, s in enumerate(shifts):
-                bitsets[h + o::step] = [lo | hi << s for lo, hi in zip(
-                    bitsets[o::step], bitsets[h + o::step])]
-        else:
-            for top in range(h, size, step):
-                bitsets[top:top + h] = [lo | hi << s for lo, hi, s in zip(
-                    bitsets[top - h:top], bitsets[top:top + h], shifts)]
-        shifts += [s << 1 for s in shifts]
-        h = step
-    return bitsets
-
-
 def _slice_bitset(faces, sigma: int, omega: int) -> int:
-    # the slice at (sigma, omega) alone, as the last of _slice_bitsets(faces,
-    # sigma, submasks(omega)): one lookup per subset of omega, listed
-    # uncached (a table slices more distinct omegas than _expand keeps).
-    # Requested pairs keep _slice_bitsets, so that they and the walk share
-    # no slicing code
+    # the slice at (sigma, omega) alone, as a bitset over the codes of
+    # omega: one lookup per subset of omega, listed uncached (a table slices
+    # more distinct omegas than _expand keeps).  Requested pairs slice by the
+    # definition instead (_slice_faces), so that they and the walk share no
+    # slicing code
     return int("".join(["1" if sigma | e in faces else "0"
                         for e in reversed(submasks(omega))]), 2)
 
 
 def _closed_in(faces, ground: int) -> bool:
-    # whether the faces lie in ``ground`` and are closed downward: on the
-    # bitset of their codes when 2^n is at most CLOSURE_BITSET_RATIO times
-    # the faces, as homology._closed_star reads it, else one lookup per
-    # face and vertex
-    if any(f & ~ground for f in faces):
-        return False
+    # whether faces inside ``ground`` are closed downward: on the bitset of
+    # their codes when 2^n is at most CLOSURE_BITSET_RATIO times the faces,
+    # as homology._closed_star reads it, else one lookup per face and vertex
     n = ground.bit_count()
     if 1 << n <= CLOSURE_BITSET_RATIO * len(faces):
         return _codes_closed(_code_bitset(_codes_over(faces, ground), n), n)
@@ -267,10 +228,10 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     it computes the link support S of each face once, finds the nonzero
     entries at the w inside S and keeps them.  The slice at (sigma, omega)
     has the faces of the slice at (sigma, omega & S), so the two pairs
-    share one entry.  Requested pairs slice each pair on their own.  Each
-    distinct slice goes to :func:`homology_of_faces` once, as the codes of
-    its faces as subsets of w: a family on vertices 1..|w|, already in the
-    cache's canonical form.
+    share one entry.  Each distinct slice goes to :func:`homology_of_faces`
+    once, as the codes of its faces as subsets of w: a family on vertices
+    1..|w|, already in the cache's canonical form.  Requested pairs slice
+    each pair on its own, by the definition (the code behind ``K.slice``).
 
     The faces come in descending mask order, so each sigma + v comes
     before sigma.  The meet M(sigma) of the facets above sigma is sigma
@@ -297,24 +258,13 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     t with any vertices of S below t outside S(sigma + t) added.  Each
     such w takes its entry at the first v, from t down, where A's or B's
     entry is zero, and is sliced (:func:`_slice_bitset`) only where both
-    are nonzero at every v.  Both rules need K closed downward: that is
-    checked once per table, on the bitset of the face codes or face by
-    face (the rule of ``homology._closed_star``), and a family that is not
-    closed, or has a face outside its ground, keeps the full sweep over
-    every w inside S (:func:`_slice_bitsets`), so
-    :func:`homology_of_faces` refuses it where it did before.
-
-    On a 2-core Xeon VM under Python 3.11 the walk visits 71,190 w of a
-    random 12-vertex complex (``random_complex(Random(7), 1..12)``) and
-    slices 22,693, where slicing every w outside the cone points takes
-    504,922, and its table goes from 1.2-1.7 s and 46 MiB to 0.2 s and
-    20 MiB; at 13 vertices (8,070 faces) 5.6-6.1 s and 113 MiB go to
-    0.6-0.8 s and 28 MiB, and rp2*rp2, its dual and its cone go from 0.8,
-    1.1 and 0.7-0.9 s to 0.1, 0.2 and 0.1-0.2 s.  It pays least where most
-    entries are nonzero, since each of them is visited and many are
-    sliced: 150 random 6-subsets of 12 vertices (169,751 stored entries)
-    go from 7.9-9.0 s to 4.4-4.8 s, and 300 random 7-subsets of 14
-    vertices (1,660,211) from 153 s to 101 s, one run each.
+    are nonzero at every v.  Both rules need K closed downward in its
+    ground.  So a table over all pairs checks that once, on the bitset of
+    the face codes or face by face (the rule of ``homology._closed_star``),
+    and raises ValueError for any other family before it slices: one with a
+    face outside the ground names the vertex, and one that is not closed
+    downward says so.  The README's entry on bigraded slice homology
+    tables gives timings.
     """
     faces = K.faces
     ground = K.ground
@@ -330,18 +280,9 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
 
     links: dict[int, tuple[int, dict[int, GradedGroup]]] = {}
     if pairs is None:
+        _require_in_ground(ground, K.support(), "face")
         if not _closed_in(faces, ground):
-            # the full sweep: homology_of_faces refuses what is not closed
-            for sigma in sorted(faces, reverse=True):
-                support = _link_support(faces, sigma, ground & ~sigma)
-                subsets = submasks(support)
-                found = {}
-                for w, b in zip(subsets, _slice_bitsets(faces, sigma, subsets)):
-                    g = group(b, w.bit_count())
-                    if g.groups:
-                        found[w] = g
-                links[sigma] = (support, found)
-            return BigradedTable(ground, links, cohomology)
+            raise ValueError("the face family is not closed downward")
         # meets[sigma]: the meet of the facets above sigma; each sigma + v
         # comes before sigma
         meets = {}
@@ -407,7 +348,7 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
             links[s] = (_link_support(faces, s, ground & ~s), {})
         support, found = links[s]
         w &= support
-        g = group(_slice_bitsets(faces, s, _expand(w))[-1], w.bit_count())
+        g = homology_of_faces(_slice_faces(faces, s, w), coeff, cohomology).shift(1)
         if g.groups:
             found[w] = g
     return BigradedTable(ground, links, cohomology, tuple(pair_list))
@@ -585,32 +526,28 @@ def slice_duality_mismatches(table: BigradedTable,
     """Entrywise Alexander duality between two slice tables.
 
     ``table`` is the homology table of K and ``dual_cohomology`` the
-    cohomology table of K's dual on the same ground.  The entry at a pair
-    with nonempty omega, internal degree d, must equal the dual entry at
-    the complementary pair in degree |omega| - d - 1.  Yields
+    cohomology table of K's dual on the same ground, both over all pairs;
+    any other two tables raise ValueError on the first read.  The entry at
+    a pair with nonempty omega, internal degree d, must equal the dual
+    entry at the complementary pair in degree |omega| - d - 1.  Yields
     ``(sigma, omega, (d, lhs, rhs))`` for each pair, in table order, where
     that fails, with d the first failing degree; nothing for a pair that
     agrees.
 
-    Over all pairs only the pairs where either side is nonzero can fail.
-    Each stored nonzero entry of ``table`` is compared at every pair it
-    stands for; a pair where only the dual side is nonzero fails whatever
-    its entry.  There is none when no pair failed and both tables hold as
-    many nonzero pairs with nonempty omega, since the complement then maps
-    the first set one to one into the second; otherwise the stored
-    entries of ``dual_cohomology`` are walked the same way.  Only the
-    failing pairs are sorted into table order.
+    Only the pairs where either side is nonzero can fail.  Each stored
+    nonzero entry of ``table`` is compared at every pair it stands for; a
+    pair where only the dual side is nonzero fails whatever its entry.
+    There is none when no pair failed and both tables hold as many nonzero
+    pairs with nonempty omega, since the complement then maps the first set
+    one to one into the second; otherwise the stored entries of
+    ``dual_cohomology`` are walked the same way.  Only the failing pairs
+    are sorted into table order.
     """
     g = table.ground
-    if table.pairs is not None or dual_cohomology.pairs is not None \
-            or dual_cohomology.ground != g:
-        for (sigma, omega), lhs in table.items():
-            if omega:
-                rhs = dual_cohomology.entry(g & ~(sigma | omega), omega)
-                failure = _first_mismatch(lhs, rhs, omega.bit_count())
-                if failure is not None:
-                    yield sigma, omega, failure
-        return
+    if table.pairs is not None or dual_cohomology.pairs is not None:
+        raise ValueError("slice duality compares tables over all pairs")
+    if dual_cohomology.ground != g:
+        raise ValueError("slice duality compares tables on one ground")
     links = table.links
     co_links = dual_cohomology.links
     failing = []
@@ -655,9 +592,7 @@ def slice_duality_mismatches(table: BigradedTable,
 
 def _first_mismatch(lhs: GradedGroup, rhs: GradedGroup, wsize: int):
     # (d, lhs at d, rhs at |omega| - d - 1) at the first degree d where the
-    # two sides differ, or None
-    if lhs.groups == tuple((wsize - e - 1, grp) for e, grp in reversed(rhs.groups)):
-        return None
+    # two sides differ; every caller has found that they do
     for d in sorted({*lhs.degrees(), *(wsize - e - 1 for e in rhs.degrees())}):
         if lhs.at(d) != rhs.at(wsize - d - 1):
             return d, lhs.at(d), rhs.at(wsize - d - 1)

@@ -581,7 +581,8 @@ def homology_consistency_failures(K: SimplicialComplex) -> list[str]:
             problems.append(f"rational dim at {d} differs from integer rank")
     for p in (2, 3):
         hp = reduced_homology(K, GF(p))
-        degrees = set(hp.degrees()) | set(hz.degrees())
+        # torsion at d - 1 alone puts a class in degree d
+        degrees = {*hp.degrees(), *hz.degrees(), *(d + 1 for d in hz.degrees())}
         for d in sorted(degrees):
             expected = (
                 hz.at(d).rank

@@ -277,7 +277,7 @@ def sphere_pair_duality_check(K: SimplicialComplex,
     * every bar entry of K at (sigma, omega), internal degree d, matches the
       complement's cohomology bar entry at (complement sigma, omega) in
       internal degree |omega| - d - 1;
-    * the dual's slices are closed downward, so that its table exists;
+    * the dual is closed downward in its ground, so that its table exists;
     * hats pair one to one with the complement's 'hat_rel' classes under
       sigma -> complement of sigma: K and its dual D have 2^n faces between
       them, and the complement of no face of K is a face of D.
@@ -299,7 +299,7 @@ def sphere_pair_duality_check(K: SimplicialComplex,
     try:
         co_dual = hochster_table(dual, cohomology=True)
     except ValueError as e:
-        # a dual with a slice that is not closed downward is no dual
+        # a family that is not closed downward is no dual and has no table
         return Verdict(False, f"dual slice table refused: {e}")
     for sigma, omega, (d, lhs, rhs) in slice_duality_mismatches(
         hochster_table(K), co_dual

@@ -11,8 +11,9 @@ import polyprod.cli as cli
 import polyprod.spaces as spaces
 import polyprod.verify as verify
 from polyprod.cli import main
-from polyprod.complexes import SimplicialComplex, mask_of
+from polyprod.complexes import SimplicialComplex, mask_of, vertices_of
 from polyprod.documents import ComplexDocument, document_of, parse_document
+from polyprod.hochster import index_pairs
 from polyprod.verify import SuiteSpec, Trial
 
 TRI_DOC = "ground: [1,2,3]\nfacets: [[1,2],[1,3],[2,3]]\n"
@@ -21,6 +22,11 @@ RP2_DOC = (
     "ground: [1,2,3,4,5,6]\n"
     "facets: [[1,2,5],[1,2,6],[1,3,4],[1,3,6],[1,4,5],"
     "[2,3,4],[2,3,5],[2,4,6],[3,5,6],[4,5,6]]\n"
+)
+CONE_RP2_DOC = (
+    "ground: [1,2,3,4,5,6,7]\n"
+    "facets: [[1,2,5,7],[1,2,6,7],[1,3,4,7],[1,3,6,7],[1,4,5,7],"
+    "[2,3,4,7],[2,3,5,7],[2,4,6,7],[3,5,6,7],[4,5,6,7]]\n"
 )
 
 
@@ -98,6 +104,7 @@ def docdir(tmp_path):
     (tmp_path / "tri.doc").write_text(TRI_DOC)
     (tmp_path / "s0.doc").write_text(S0_DOC)
     (tmp_path / "rp2.doc").write_text(RP2_DOC)
+    (tmp_path / "cone-rp2.doc").write_text(CONE_RP2_DOC)
     (tmp_path / "emptyface.doc").write_text("ground: [1]\nfacets: [[]]\n")
     (tmp_path / "void.doc").write_text("ground: [1,2]\nfacets: []\n")
     (tmp_path / "full2.doc").write_text("ground: [1,2]\nfacets: [[1,2]]\n")
@@ -259,6 +266,23 @@ class TestCliHochster:
             "sigma={} omega={1,2,3,4,5,6} d2: Z^1\n"
             "sigma={} omega={1,2,3,4,5,6} d3: Z^1\n"
         )
+
+    @pytest.mark.parametrize("flags", [[], ["--coeff", "p:2"], ["--cohomology"]],
+                             ids=["Z", "GF2", "cohomology"])
+    def test_every_pair_requested_prints_the_full_table(self, docdir, capsys, flags):
+        # requested pairs slice each pair by the definition, the full table
+        # takes the walk: asked for all 2,187 pairs in table order, both
+        # print the same lines
+        doc = str(docdir / "cone-rp2.doc")
+        pairs = ";".join(
+            ",".join(map(str, vertices_of(sigma))) + ":"
+            + ",".join(map(str, vertices_of(omega)))
+            for sigma, omega in index_pairs(mask_of(range(1, 8))))
+        assert pairs.count(";") == 2186
+        code, every, _ = run_cli(capsys, "hochster", doc, *flags)
+        assert code == 0 and every
+        code, asked, _ = run_cli(capsys, "hochster", doc, "--pairs", pairs, *flags)
+        assert code == 0 and asked == every
 
     def test_full_simplex_has_only_empty_omega_lines(self, docdir, capsys):
         code, out, _ = run_cli(capsys, "hochster", str(docdir / "full2.doc"))

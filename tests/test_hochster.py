@@ -730,6 +730,26 @@ class TestSliceDualityMismatches:
             co_dual = hochster_table(K.dual(K.ground), cohomology=True)
             assert list(slice_duality_mismatches(table, co_dual)) == []
 
+    def test_only_all_pair_tables_on_one_ground_are_compared(self):
+        K = tri()
+        g = K.ground
+        table = hochster_table(K)
+        co_dual = hochster_table(K.dual(g), cohomology=True)
+        pairs = index_pairs(g)
+        asked = hochster_table(K, pairs=pairs)
+        co_asked = hochster_table(K.dual(g), pairs=pairs, cohomology=True)
+        wider = SimplicialComplex(g | mask_of([4]), K.faces)
+        co_wider = hochster_table(wider.dual(wider.ground), cohomology=True)
+        for lhs, rhs, message in [
+            (asked, co_dual, "over all pairs"),
+            (table, co_asked, "over all pairs"),
+            (asked, co_asked, "over all pairs"),
+            (table, co_wider, "on one ground"),
+        ]:
+            mismatches = slice_duality_mismatches(lhs, rhs)
+            with pytest.raises(ValueError, match=message):
+                next(mismatches)
+
 
 class TestDualityGroupSides:
     def test_projective_plane_torsion_crosses_the_duality(self):
@@ -831,13 +851,16 @@ class TestTableThroughHomologyOfFaces:
             assert _canonical_faces(key) == tuple(key)
 
 
+NOT_CLOSED = "^the face family is not closed downward$"
+
+
 class TestConePointRule:
     """Over all pairs, a slice holding a cone point of the link is skipped.
 
     A vertex in every facet above sigma makes each slice at (sigma, w)
     with w holding it a cone, so its entry is zero; the table computes
-    none of them, and keeps the full sweep for a family that is not
-    closed downward.
+    none of them.  The rule needs a family closed downward in its ground,
+    and a table over all pairs refuses any other family before it slices.
     """
 
     def test_the_full_simplex_asks_for_one_family(self, monkeypatch):
@@ -859,37 +882,24 @@ class TestConePointRule:
         assert all(omega == 0 and v_entry(g) == {0: Z_GROUP}
                    for (_, omega), g in nonzero)
 
-    @pytest.mark.parametrize("faces", [
-        [[], [1], [2], [3], [1, 2, 3]],
+    @pytest.mark.parametrize("ground, faces, message", [
+        ([1, 2, 3], [[], [1], [2], [3], [1, 2, 3]], NOT_CLOSED),
         # every vertex is a cone point of every link, but the slice at
         # (empty, ground) lacks {1, 2}
-        [[], [1], [2], [3], [1, 3], [2, 3], [1, 2, 3]],
-    ], ids=["vertices-and-triangle", "no-edge-12"])
-    def test_a_family_not_closed_downward_is_refused(self, faces):
-        K = SimplicialComplex(mask_of([1, 2, 3]), frozenset(map(mask_of, faces)))
-        with pytest.raises(ValueError, match="^the face family is not closed downward$"):
-            hochster_table(K)
-
-    @pytest.mark.parametrize("faces, pair, entry", [
-        ([[], [1, 2]], ([], [1, 2]), {0: Z_GROUP}),
+        ([1, 2, 3], [[], [1], [2], [3], [1, 3], [2, 3], [1, 2, 3]], NOT_CLOSED),
+        ([1, 2, 3], [[], [1, 2]], NOT_CLOSED),
         # vertex 3 lies in every facet above the empty face, but {3} is
         # missing: the slice at (empty, {1, 2}) is two points, no cone
-        ([[], [1], [2], [1, 3], [2, 3], [1, 2, 3]], ([], [1, 2]), {1: Z_GROUP}),
-    ], ids=["empty-and-edge", "no-vertex-3"])
-    def test_a_family_not_closed_downward_keeps_its_entries(self, faces, pair, entry):
-        K = SimplicialComplex(mask_of([1, 2, 3]), frozenset(map(mask_of, faces)))
-        table = hochster_table(K)
-        assert v_entry(table.entry(*pair)) == entry
-        pairs = list(_all_pairs(K.ground))
-        assert dict(table.items()) == dict(hochster_table(K, pairs=pairs).items())
-
-    def test_a_face_outside_the_ground_keeps_the_full_sweep(self):
+        ([1, 2, 3], [[], [1], [2], [1, 3], [2, 3], [1, 2, 3]], NOT_CLOSED),
         # an unvalidated face on vertex 2, outside the gapped ground {1, 3}
-        faces = [[], [1], [2], [3], [1, 2], [1, 3]]
-        K = SimplicialComplex(mask_of([1, 3]), frozenset(map(mask_of, faces)))
-        pairs = list(_all_pairs(K.ground))
-        assert dict(hochster_table(K).items()) == dict(
-            hochster_table(K, pairs=pairs).items())
+        ([1, 3], [[], [1], [2], [3], [1, 2], [1, 3]],
+         "^face vertex 2 is not in the ground set$"),
+    ], ids=["vertices-and-triangle", "no-edge-12", "empty-and-edge", "no-vertex-3",
+            "face-outside-the-ground"])
+    def test_a_family_not_closed_downward_is_refused(self, ground, faces, message):
+        K = SimplicialComplex(mask_of(ground), frozenset(map(mask_of, faces)))
+        with pytest.raises(ValueError, match=message):
+            hochster_table(K)
 
 
 class TestMayerVietorisWalk:

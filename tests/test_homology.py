@@ -341,6 +341,20 @@ class TestProjectivePlane:
         assert homology_consistency_failures(rp2_complex()) == []
         assert homology_consistency_failures(cone_over_rp2()) == []
 
+    def test_consistency_sweep_catches_field_ranks_that_ignore_p(self, monkeypatch):
+        # a planted fault: every field rank is the rational one, so GF(2)
+        # loses both classes of rp2, the one in degree 2 coming from the
+        # torsion in degree 1 alone; the groups cache is emptied around the
+        # fault so that it neither reads nor leaves a faulty entry
+        monkeypatch.setattr(homology, "_field_rank", lambda factors, p: len(factors))
+        homology._groups_from_key.cache_clear()
+        try:
+            problems = homology_consistency_failures(rp2_complex())
+        finally:
+            homology._groups_from_key.cache_clear()
+        assert problems == ["mod-2 dim at 1 is 0, expected 1",
+                            "mod-2 dim at 2 is 0, expected 1"]
+
 
 class TestAgainstEliminationOracles:
     def test_random_complexes_match_rational_ranks(self):

@@ -410,8 +410,8 @@ class TestPairingFollowsFromTablesAndCount:
     no face of K whose complement is a face of the dual.  Here every K on
     1-3 vertices meets every family D of subsets, closed or not; the
     partner loop the check once ran is the oracle on each (K, D) that
-    passes the tables and the count.  A family with a slice that is not
-    closed downward has no table, and the check fails on it.
+    passes the tables and the count.  A family that is not closed downward
+    has no table, and the check fails on it.
     """
 
     def test_every_family_on_up_to_three_vertices(self):
@@ -444,8 +444,8 @@ class TestPairingFollowsFromTablesAndCount:
 
     def test_a_dual_that_is_not_closed_fails_the_check(self, monkeypatch):
         # the true dual of a triangle boundary is {empty face}; this stand-in
-        # has the three vertices and the triangle but no edge, so its slice
-        # at (empty, ground) is not closed downward
+        # has the three vertices and the triangle but no edge, so it is not
+        # closed downward
         K = SimplicialComplex.boundary_simplex(range(1, 4))
         monkeypatch.setattr(
             SimplicialComplex, "dual",

@@ -309,9 +309,8 @@ class TestDetectionPower:
 
     @pytest.mark.parametrize("name", ["alexander", "sphere-duality"])
     def test_table_suites_fail_on_a_dual_that_is_not_closed(self, monkeypatch, name):
-        # the dual without an edge or larger face that lies in another: its
-        # slice at (empty, ground) is not closed downward and has no
-        # homology, so the trial fails on it
+        # the dual without an edge or larger face that lies in another is
+        # not closed downward and has no table, so the trial fails on it
         real = SimplicialComplex.dual
 
         def broken(self, ambient):
