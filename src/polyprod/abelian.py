@@ -12,8 +12,9 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
+
+from ._record import Record
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -29,21 +30,29 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
-    rank: int
-    torsion: tuple[int, ...] = ()
+class FgAbelianGroup(Record):
+    _fields = __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {self.rank}")
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0:
+            raise ValueError(f"rank must be nonnegative, got {rank}")
         prev = 1
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"invariant factors must be at least 2, got {d}")
             if d % prev:
-                raise ValueError(f"invariant factors must form a chain: {self.torsion}")
+                raise ValueError(f"invariant factors must form a chain: {torsion}")
             prev = d
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.torsion == other.torsion
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.torsion))
 
     @classmethod
     def from_divisors(cls, rank: int, divisors) -> "FgAbelianGroup":
@@ -119,14 +128,24 @@ ZERO_GROUP = FgAbelianGroup(0)
 Z_GROUP = FgAbelianGroup(1)
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(Record):
     """A finitely supported family of groups indexed by integer degrees.
 
     Zero groups are never stored; equality is degreewise isomorphism.
     """
 
-    groups: tuple[tuple[int, FgAbelianGroup], ...] = field(default=())
+    _fields = __slots__ = ("groups",)
+
+    def __init__(self, groups: tuple[tuple[int, FgAbelianGroup], ...] = ()):
+        object.__setattr__(self, "groups", groups)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.groups == other.groups
+
+    def __hash__(self) -> int:
+        return hash((self.groups,))
 
     @classmethod
     def from_dict(cls, mapping) -> "GradedGroup":

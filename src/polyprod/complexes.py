@@ -15,9 +15,10 @@ Labels are global: links, restrictions and slices never relabel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+
+from ._record import Record
 
 
 def mask_of(vertices) -> int:
@@ -221,8 +222,7 @@ def _slice_faces(faces, sigma: int, omega: int) -> list[int]:
             if sigma | e in faces]
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Immutable simplicial complex: a ground mask and a face-mask family.
 
     ``faces`` empty means the void complex; otherwise 0 (the empty face) is
@@ -230,8 +230,21 @@ class SimplicialComplex:
     does not validate (see :meth:`validate`).
     """
 
-    ground: int
-    faces: frozenset[int]
+    # the duality witness holds weak references to complexes
+    __slots__ = ("ground", "faces", "__weakref__")
+    _fields = ("ground", "faces")
+
+    def __init__(self, ground: int, faces: frozenset[int]):
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "faces", faces)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ground == other.ground and self.faces == other.faces
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.faces))
 
     # -- constructors ------------------------------------------------------
 

@@ -14,29 +14,30 @@ empty set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record
 from .complexes import SimplicialComplex, mask_of, vertices_of
 
 _KEYS = ("ground", "blocks", "facets")
 
 
-@dataclass(frozen=True)
-class ComplexDocument:
-    ground: tuple[int, ...]
-    facets: tuple[tuple[int, ...], ...]
-    blocks: tuple[int, ...] | None = None
+class ComplexDocument(Record):
+    _fields = __slots__ = ("ground", "facets", "blocks")
 
-    def __post_init__(self):
-        if list(self.ground) != sorted(set(self.ground)):
+    def __init__(self, ground: tuple[int, ...], facets: tuple[tuple[int, ...], ...],
+                 blocks: tuple[int, ...] | None = None):
+        if list(ground) != sorted(set(ground)):
             raise ValueError("ground must list distinct vertices in increasing order")
-        if any(v < 1 for v in self.ground):
+        if any(v < 1 for v in ground):
             raise ValueError("vertex labels must be positive")
-        if self.blocks is not None:
-            if any(b < 1 for b in self.blocks):
+        if blocks is not None:
+            if any(b < 1 for b in blocks):
                 raise ValueError("block sizes must be positive")
-            if sum(self.blocks) != len(self.ground):
+            if sum(blocks) != len(ground):
                 raise ValueError("block sizes must sum to the ground size")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "blocks", blocks)
 
     def complex(self) -> SimplicialComplex:
         return SimplicialComplex.from_facets(mask_of(self.ground), self.facets)

@@ -26,16 +26,16 @@ slice at (sigma, w) is the slice at (sigma, w - v) with a cone on the
 slice at (sigma + v, w - v) glued along the latter, so where one of those
 two entries is zero the entry at (sigma, w) is the other one, raised a
 degree when it is the second.  Both rules hold for a family closed
-downward in its ground, so a table over all pairs refuses any other family
-before it slices.
+downward in its ground, so a table, over all pairs or requested ones,
+refuses any other family before it slices.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._record import Record
 from .abelian import GradedGroup, graded_tensor, tensor_additive
 from .complexes import (
     CLOSURE_BITSET_RATIO,
@@ -258,11 +258,12 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     t with any vertices of S below t outside S(sigma + t) added.  Each
     such w takes its entry at the first v, from t down, where A's or B's
     entry is zero, and is sliced (:func:`_slice_bitset`) only where both
-    are nonzero at every v.  Both rules need K closed downward in its
-    ground.  So a table over all pairs checks that once, on the bitset of
-    the face codes or face by face (the rule of ``homology._closed_star``),
-    and raises ValueError for any other family before it slices: one with a
-    face outside the ground names the vertex, and one that is not closed
+    are nonzero at every v.  Both rules, and the slice by its definition,
+    need K closed downward in its ground.  So the table, over all pairs or
+    requested ones, checks that once, on the bitset of the face codes or
+    face by face (the rule of ``homology._closed_star``), and raises
+    ValueError for any other family before it slices: one with a face
+    outside the ground names the vertex, and one that is not closed
     downward says so.  The README's entry on bigraded slice homology
     tables gives timings.
     """
@@ -279,10 +280,10 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
         return g
 
     links: dict[int, tuple[int, dict[int, GradedGroup]]] = {}
+    _require_in_ground(ground, K.support(), "face")
+    if not _closed_in(faces, ground):
+        raise ValueError("the face family is not closed downward")
     if pairs is None:
-        _require_in_ground(ground, K.support(), "face")
-        if not _closed_in(faces, ground):
-            raise ValueError("the face family is not closed downward")
         # meets[sigma]: the meet of the facets above sigma; each sigma + v
         # comes before sigma
         meets = {}
@@ -361,8 +362,7 @@ class DualityCheckError(AssertionError):
     """A structural duality identity failed to verify."""
 
 
-@dataclass(frozen=True, init=False)
-class DualityWitness:
+class DualityWitness(Record):
     """A verified signed bijection between a slice pair and its dual.
 
     ``taking[d]`` maps each degree-d generator (a non-face of the slice,
@@ -379,16 +379,17 @@ class DualityWitness:
     of omega there.
     """
 
-    sigma: int
-    omega: int
-    nonfaces: int = field(repr=False)
-    omega_code: int = field(repr=False)
+    # no __slots__: the cached properties live in the instance dict
+    _fields = ("sigma", "omega", "nonfaces", "omega_code")
 
     def __init__(self, sigma: int, omega: int, nonfaces: int, omega_code: int):
-        # one update of the instance dict, where the generated __init__ of a
-        # frozen class makes one object.__setattr__ call per field
+        # one update of the instance dict in place of one
+        # object.__setattr__ call per field
         self.__dict__.update(sigma=sigma, omega=omega, nonfaces=nonfaces,
                              omega_code=omega_code)
+
+    def __repr__(self) -> str:
+        return f"DualityWitness(sigma={self.sigma!r}, omega={self.omega!r})"
 
     @cached_property
     def taking(self) -> tuple[tuple[int, tuple[tuple[int, tuple[int, int]], ...]], ...]:
@@ -649,28 +650,32 @@ def composition_homology(K: SimplicialComplex, factors,
     return formula
 
 
-@dataclass(frozen=True)
-class PieceVerdict:
-    sigma: int
-    omega: int
-    lhs: GradedGroup
-    rhs: GradedGroup
+class PieceVerdict(Record):
+    _fields = __slots__ = ("sigma", "omega", "lhs", "rhs")
+
+    def __init__(self, sigma: int, omega: int, lhs: GradedGroup, rhs: GradedGroup):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class PieceReport:
+class PieceReport(Record):
     """The verdicts at the pairs that could fail, in table order.
 
     ``pairs`` counts every disjoint pair of the composition's ground (3^N);
     at each pair without a verdict both sides are zero.
     """
 
-    verdicts: tuple[PieceVerdict, ...]
-    pairs: int
+    _fields = __slots__ = ("verdicts", "pairs")
+
+    def __init__(self, verdicts: tuple[PieceVerdict, ...], pairs: int):
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def ok(self) -> bool:

@@ -27,11 +27,10 @@ order and deleting the i-th one carries sign (-1)^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 
+from ._record import Record
 from .abelian import FgAbelianGroup, GradedGroup, _factorint
 from .complexes import (
     CLOSURE_BITSET_RATIO,
@@ -51,23 +50,22 @@ from .complexes import (
 # ---------------------------------------------------------------------------
 # coefficients
 
-@dataclass(frozen=True)
-class FieldCoeff:
+class FieldCoeff(Record):
     """Field coefficients: the rationals (p = None) or GF(p), prime p < 2**31."""
 
-    p: int | None = None
+    _fields = __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is None:
-            return
-        # a float would pass the trial division below
-        if type(self.p) is not int:
-            raise ValueError(f"field characteristic must be an integer, got {self.p!r}")
-        # trial division up to the square root stays instant below the bound
-        if self.p >= 2**31:
-            raise ValueError(f"field characteristic must be below 2**31, got {self.p}")
-        if _factorint(self.p) != {self.p: 1}:
-            raise ValueError(f"field characteristic must be prime, got {self.p}")
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            # a float would pass the trial division below
+            if type(p) is not int:
+                raise ValueError(f"field characteristic must be an integer, got {p!r}")
+            # trial division up to the square root stays instant below the bound
+            if p >= 2**31:
+                raise ValueError(f"field characteristic must be below 2**31, got {p}")
+            if _factorint(p) != {p: 1}:
+                raise ValueError(f"field characteristic must be prime, got {p}")
+        object.__setattr__(self, "p", p)
 
 
 RATIONALS = FieldCoeff(None)
@@ -422,6 +420,10 @@ def _rref(rows, p):
     increasing order; column ``pivots[r]`` has its 1 in row r, and rows past
     the last pivot are zero.
     """
+    # imported here: only induced maps need it, and every command pays
+    # for a module-level import at start-up
+    from fractions import Fraction
+
     rows[:] = [[Fraction(x) if p is None else x % p for x in r] for r in rows]
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
@@ -467,14 +469,16 @@ def _homology_generators(cx: AugmentedChainComplex, n: int, p) -> list:
     return [cycles[c - k] for c in _rref(rows, p) if c >= k]
 
 
-@dataclass(frozen=True)
-class InducedDegreeMap:
+class InducedDegreeMap(Record):
     """Matrix of an induced map in chosen homology bases, with its dims."""
 
-    matrix: tuple
-    kernel_dim: int
-    image_dim: int
-    cokernel_dim: int
+    _fields = __slots__ = ("matrix", "kernel_dim", "image_dim", "cokernel_dim")
+
+    def __init__(self, matrix: tuple, kernel_dim: int, image_dim: int, cokernel_dim: int):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "kernel_dim", kernel_dim)
+        object.__setattr__(self, "image_dim", image_dim)
+        object.__setattr__(self, "cokernel_dim", cokernel_dim)
 
 
 def induced_inclusion_map(A: SimplicialComplex, X: SimplicialComplex,

@@ -17,9 +17,9 @@ the product space is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record
 from .abelian import FgAbelianGroup, GradedGroup
 from .complexes import (
     SimplicialComplex,
@@ -32,16 +32,16 @@ from .complexes import (
 from .hochster import hochster_table, slice_duality_mismatches
 
 
-@dataclass(frozen=True)
-class FiniteSpacePair:
+class FiniteSpacePair(Record):
     """A finite set with a distinguished (possibly empty) subset."""
 
-    points: frozenset
-    sub: frozenset
+    _fields = __slots__ = ("points", "sub")
 
-    def __post_init__(self):
-        if not self.sub <= self.points:
+    def __init__(self, points: frozenset, sub: frozenset):
+        if not sub <= points:
             raise ValueError("the subspace must be a subset of the space")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "sub", sub)
 
     @classmethod
     def of(cls, points, sub) -> "FiniteSpacePair":
@@ -70,10 +70,12 @@ def finite_product(K: SimplicialComplex, pairs) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    detail: str = ""
+class Verdict(Record):
+    _fields = __slots__ = ("ok", "detail")
+
+    def __init__(self, ok: bool, detail: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
 def _set_verdict(what: str, lhs: frozenset, rhs: frozenset) -> Verdict:
@@ -160,14 +162,13 @@ def factorization_identity_check(K: SimplicialComplex, pairs) -> Verdict:
 # ---------------------------------------------------------------------------
 # sphere-pair homology ledgers
 
-@dataclass(frozen=True)
-class SpherePairSystem:
+class SpherePairSystem(Record):
     """One (r_k, q_k) parameter pair per position: the pair (S^(r+1), S^q)."""
 
-    params: tuple[tuple[int, int], ...]
+    _fields = __slots__ = ("params",)
 
-    def __post_init__(self):
-        for r, q in self.params:
+    def __init__(self, params: tuple[tuple[int, int], ...]):
+        for r, q in params:
             # bool is an int subclass, and a float passes the range check
             if type(r) is not int or type(q) is not int:
                 raise ValueError(
@@ -177,6 +178,7 @@ class SpherePairSystem:
                 raise ValueError(
                     f"sphere parameters need 0 <= q <= r, got (r, q) = ({r}, {q})"
                 )
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def of(cls, *params) -> "SpherePairSystem":
@@ -200,25 +202,32 @@ class SpherePairSystem:
         return t
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(Record):
     """One contribution: 'hat', 'bar' or 'hat_rel' (listed for moment-angle only)."""
 
-    kind: str
-    sigma: int
-    omega: int | None
-    shift: int
-    source_degree: int
-    group: FgAbelianGroup
-    degree: int
+    _fields = __slots__ = ("kind", "sigma", "omega", "shift", "source_degree", "group",
+                           "degree")
+
+    def __init__(self, kind: str, sigma: int, omega: int | None, shift: int,
+                 source_degree: int, group: FgAbelianGroup, degree: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "source_degree", source_degree)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "degree", degree)
 
 
-@dataclass(frozen=True)
-class SpaceHomologyReport:
-    hat: GradedGroup
-    bar: GradedGroup
-    total: GradedGroup
-    ledger: tuple[LedgerEntry, ...]
+class SpaceHomologyReport(Record):
+    _fields = __slots__ = ("hat", "bar", "total", "ledger")
+
+    def __init__(self, hat: GradedGroup, bar: GradedGroup, total: GradedGroup,
+                 ledger: tuple[LedgerEntry, ...]):
+        object.__setattr__(self, "hat", hat)
+        object.__setattr__(self, "bar", bar)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "ledger", ledger)
 
     def entries(self, kind: str):
         return [e for e in self.ledger if e.kind == kind]

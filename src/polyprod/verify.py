@@ -17,9 +17,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 
+from ._record import Record
 from .abelian import FgAbelianGroup, GradedGroup
 from .complexes import (
     SimplicialComplex,
@@ -104,12 +104,14 @@ def self_dual_complex(n: int) -> SimplicialComplex:
     return make_complex(range(1, n + 1), _SELF_DUAL_FACETS[n])
 
 
-@dataclass(frozen=True)
-class Trial:
-    seed: int
-    suite: str
-    ok: bool
-    counterexample: str = ""
+class Trial(Record):
+    _fields = __slots__ = ("seed", "suite", "ok", "counterexample")
+
+    def __init__(self, seed: int, suite: str, ok: bool, counterexample: str = ""):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def lines(self) -> list[str]:
         head = f"TRIAL {self.seed} {self.suite} {'PASS' if self.ok else 'FAIL'}"
@@ -179,16 +181,16 @@ class TrialLog(Sequence):
         return f"TrialLog({self.suite!r}, {self._parts!r})"
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     """One suite's trials, held as a :class:`TrialLog` of the trials given."""
 
-    suite: str
-    trials: TrialLog
+    _fields = __slots__ = ("suite", "trials")
 
-    def __post_init__(self):
-        if not isinstance(self.trials, TrialLog):
-            object.__setattr__(self, "trials", TrialLog(self.suite, self.trials))
+    def __init__(self, suite: str, trials: TrialLog):
+        if not isinstance(trials, TrialLog):
+            trials = TrialLog(suite, trials)
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "trials", trials)
 
     @property
     def ok(self) -> bool:
@@ -767,12 +769,14 @@ def _check_sphere_duality(rng, i: int, max_vertices: int):
 # ---------------------------------------------------------------------------
 # registry
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    fn: object
-    trials: int
-    max_vertices: int
-    summary: str
+class SuiteSpec(Record):
+    _fields = __slots__ = ("fn", "trials", "max_vertices", "summary")
+
+    def __init__(self, fn: object, trials: int, max_vertices: int, summary: str):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "max_vertices", max_vertices)
+        object.__setattr__(self, "summary", summary)
 
 
 SUITES = {

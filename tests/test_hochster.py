@@ -896,10 +896,14 @@ class TestConePointRule:
          "^face vertex 2 is not in the ground set$"),
     ], ids=["vertices-and-triangle", "no-edge-12", "empty-and-edge", "no-vertex-3",
             "face-outside-the-ground"])
-    def test_a_family_not_closed_downward_is_refused(self, ground, faces, message):
+    # a requested pair is sliced by the definition, which needs a family
+    # closed downward too: the empty-and-edge family gave Z at (empty,
+    # empty), at (empty, {3}) and at ({1, 2}, {3})
+    @pytest.mark.parametrize("pairs", [None, [((), ())]], ids=["all-pairs", "one-pair"])
+    def test_a_family_not_closed_downward_is_refused(self, ground, faces, message, pairs):
         K = SimplicialComplex(mask_of(ground), frozenset(map(mask_of, faces)))
         with pytest.raises(ValueError, match=message):
-            hochster_table(K)
+            hochster_table(K, pairs=pairs)
 
 
 class TestMayerVietorisWalk:

@@ -5,6 +5,8 @@ import importlib.util
 import pkgutil
 import re
 import runpy
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -22,6 +24,18 @@ def test_every_public_name_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(polyprod.__all__)
+
+
+def test_the_cold_import_loads_no_dataclasses_inspect_or_fractions():
+    # every command imports the package cold, and these three (with what
+    # dataclasses pulls in) took most of that import; -S keeps what site
+    # imports out of the count
+    src = Path(polyprod.__file__).parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import polyprod, polyprod.cli; "
+            "print(*[m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert run.stdout.split() == []
 
 
 def test_all_five_demos_are_found():
