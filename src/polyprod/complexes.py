@@ -180,6 +180,23 @@ def _codes_closed(present: int, n: int) -> bool:
                    for j, clear in enumerate(_clear_codes(n)))
 
 
+def _require_closed(faces, ground: int) -> int | None:
+    # refuse faces inside ``ground`` that are not closed downward: on the
+    # bitset of their codes, which is returned, when 2^n is at most
+    # CLOSURE_BITSET_RATIO times the faces, else (returning None) one lookup
+    # per face and vertex, in a set made of a tuple rather than a scan of it
+    n = ground.bit_count()
+    if 1 << n <= CLOSURE_BITSET_RATIO * len(faces):
+        present = _code_bitset(_codes_over(faces, ground), n)
+        if _codes_closed(present, n):
+            return present
+    else:
+        lookup = faces if isinstance(faces, (set, frozenset)) else set(faces)
+        if all(f ^ b in lookup for f in faces for b in _bits_of(f)):
+            return None
+    raise ValueError("the face family is not closed downward")
+
+
 def _move_faces(faces, bit_map: dict[int, int]) -> list[int]:
     # each face with every bit b replaced by bit_map[b]
     out = []

@@ -87,6 +87,10 @@ def parse_document(text: str) -> ComplexDocument:
             fields[key] = json.loads(value)
         except json.JSONDecodeError as e:
             raise ValueError(f"line {lineno}: bad JSON value for {key!r}: {e}") from e
+        except RecursionError:
+            raise ValueError(
+                f"line {lineno}: JSON value for {key!r} is nested too deeply"
+            ) from None
     if "ground" not in fields:
         raise ValueError("document is missing the ground line")
     if "facets" not in fields:

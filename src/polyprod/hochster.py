@@ -38,19 +38,18 @@ from functools import cached_property
 from ._record import Record
 from .abelian import GradedGroup, graded_tensor, tensor_additive
 from .complexes import (
-    CLOSURE_BITSET_RATIO,
     EXPAND_CACHED_VERTICES,
     SimplicialComplex,
     _as_mask,
     _bitset_masks,
     _bits_of,
     _code_bitset,
-    _codes_closed,
     _codes_over,
     _expand,
     _link_support,
     _move_faces,
     _positions,
+    _require_closed,
     _require_in_ground,
     _slice_faces,
     composition_complex,
@@ -204,16 +203,6 @@ def _slice_bitset(faces, sigma: int, omega: int) -> int:
                         for e in reversed(submasks(omega))]), 2)
 
 
-def _closed_in(faces, ground: int) -> bool:
-    # whether faces inside ``ground`` are closed downward: on the bitset of
-    # their codes when 2^n is at most CLOSURE_BITSET_RATIO times the faces,
-    # as homology._closed_star reads it, else one lookup per face and vertex
-    n = ground.bit_count()
-    if 1 << n <= CLOSURE_BITSET_RATIO * len(faces):
-        return _codes_closed(_code_bitset(_codes_over(faces, ground), n), n)
-    return all(f ^ b in faces for f in faces for b in _bits_of(f))
-
-
 def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
                    pairs=None, cohomology: bool = False) -> BigradedTable:
     """Slice (co)homology table of K over all requested disjoint pairs.
@@ -260,11 +249,10 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     entry is zero, and is sliced (:func:`_slice_bitset`) only where both
     are nonzero at every v.  Both rules, and the slice by its definition,
     need K closed downward in its ground.  So the table, over all pairs or
-    requested ones, checks that once, on the bitset of the face codes or
-    face by face (the rule of ``homology._closed_star``), and raises
-    ValueError for any other family before it slices: one with a face
-    outside the ground names the vertex, and one that is not closed
-    downward says so.  The README's entry on bigraded slice homology
+    requested ones, checks that once, by ``complexes._require_closed``,
+    and raises ValueError for any other family before it slices: one with
+    a face outside the ground names the vertex, and one that is not
+    closed downward says so.  The README's entry on bigraded slice homology
     tables gives timings.
     """
     faces = K.faces
@@ -281,8 +269,7 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
 
     links: dict[int, tuple[int, dict[int, GradedGroup]]] = {}
     _require_in_ground(ground, K.support(), "face")
-    if not _closed_in(faces, ground):
-        raise ValueError("the face family is not closed downward")
+    _require_closed(faces, ground)
     if pairs is None:
         # meets[sigma]: the meet of the facets above sigma; each sigma + v
         # comes before sigma

@@ -33,15 +33,13 @@ from heapq import heappop, heappush
 from ._record import Record
 from .abelian import FgAbelianGroup, GradedGroup, _factorint
 from .complexes import (
-    CLOSURE_BITSET_RATIO,
     SimplicialComplex,
     _as_mask,
     _bits_of,
     _bitset_masks,
     _clear_codes,
-    _code_bitset,
-    _codes_closed,
     _codes_over,
+    _require_closed,
     submasks,
     vertices_of,
 )
@@ -321,24 +319,16 @@ GROUPS_CACHE_SIZE = 8192
 
 def _closed_star(key: tuple[int, ...]) -> set[int]:
     # the closed star of vertex 1 (mask 1) in a canonical family on
-    # vertices 1..k, the faces f with f | 1 a face, once the family is
-    # known to be closed downward.  On the census's bitset of its codes when
-    # 2^k is at most CLOSURE_BITSET_RATIO times the faces: even code c is
-    # in the star when c + 1 is present, odd code c when c is.  Else one
-    # lookup per face and vertex
+    # vertices 1..k, the faces f with f | 1 a face, once _require_closed
+    # has passed it: odd code c when present, even code c when c + 1 is.
+    # On the bitset of the codes if that test made one, else on the sorted
+    # key, where c + 1 is the entry after c (the star keeps the key's ints)
     k = key[-1].bit_length() if key else 0
-    if 1 << k <= CLOSURE_BITSET_RATIO * len(key):
-        present = _code_bitset(key, k)
-        closed = _codes_closed(present, k)
-        odd = ~_clear_codes(k)[0] if k else 0
-        star = set(_bitset_masks(present & (present >> 1 | odd), (1 << k) - 1))
-    else:
-        faces = set(key)
-        closed = all(f ^ b in faces for f in key for b in _bits_of(f))
-        star = {f for f in key if f | 1 in faces}
-    if not closed:
-        raise ValueError("the face family is not closed downward")
-    return star
+    present = _require_closed(key, (1 << k) - 1)
+    if present is None:
+        return {c for c, d in zip(key, key[1:] + (0,)) if c & 1 or d == c + 1}
+    odd = ~_clear_codes(k)[0] if k else 0
+    return set(_bitset_masks(present & (present >> 1 | odd), (1 << k) - 1))
 
 
 @lru_cache(maxsize=HOMOLOGY_DATA_CACHE_SIZE)

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from polyprod import complexes
+from polyprod import complexes, homology
 from polyprod import (
     SimplicialComplex,
     composition_complex,
@@ -14,6 +14,7 @@ from polyprod import (
     embed_on_blocks,
     enumerate_complexes,
     ghost_factorization,
+    hochster_table,
     join,
     make_complex,
     mask_of,
@@ -23,6 +24,9 @@ from polyprod import (
     submasks,
     vertices_of,
 )
+
+
+NOT_CLOSED = "^the face family is not closed downward$"
 
 
 def faces_as_sets(K):
@@ -235,6 +239,61 @@ class TestConstructors:
         for K in cases:
             assert K.facets() == _facets_by_scan(K), K.faces
         assert [K.facets() for K in cases[:3]] == [[0b10], [0b1], [0b1000]]
+
+    @pytest.mark.parametrize("ratio", [0, 1 << 20], ids=["scan", "bitset"])
+    def test_closure_test_accepts_what_validate_accepts(self, monkeypatch, ratio):
+        # random complexes on grounds 1..n and on gapped grounds, each with
+        # copies missing one non-maximal face (not closed) and one facet
+        # (closed): the one closure test, given a frozenset or a sorted
+        # tuple, and homology and slice tables, which refuse through it,
+        # accept exactly the families validate() accepts
+        monkeypatch.setattr(complexes, "CLOSURE_BITSET_RATIO", ratio)
+        rng = random.Random(37)
+        families = []
+        for i in range(40):
+            n = rng.randint(1, 8)
+            ground = list(range(1, n + 1)) if i % 2 else sorted(rng.sample(range(1, 80), n))
+            K = random_complex(rng, ground)
+            facets = K.facets()
+            inner = sorted(K.faces - set(facets))
+            families.append((K.ground, K.faces))
+            if inner:
+                families.append((K.ground, K.faces - {rng.choice(inner)}))
+            if facets:
+                families.append((K.ground, K.faces - {rng.choice(facets)}))
+        closed_count = 0
+        for ground, faces in families:
+            K = SimplicialComplex(ground, faces)
+            try:
+                K.validate()
+                closed = True
+            except ValueError:
+                closed = False
+            closed_count += closed
+            pair = [((), vertices_of(ground))]
+            for given in (faces, tuple(sorted(faces))):
+                if closed:
+                    present = complexes._require_closed(given, ground)
+                    if present is not None:
+                        assert set(complexes._bitset_masks(present, ground)) == faces
+                    assert (present is None) == (ratio == 0 or not faces)
+                else:
+                    with pytest.raises(ValueError, match=NOT_CLOSED):
+                        complexes._require_closed(given, ground)
+            if closed:
+                key = homology._canonical_faces(faces)
+                star = {f for f in key if f | 1 in key}
+                assert homology._closed_star(key) == star
+                hochster_table(K)
+                hochster_table(K, pairs=pair)
+                continue
+            with pytest.raises(ValueError, match=NOT_CLOSED):
+                homology.homology_of_faces(faces)
+            with pytest.raises(ValueError, match=NOT_CLOSED):
+                hochster_table(K)
+            with pytest.raises(ValueError, match=NOT_CLOSED):
+                hochster_table(K, pairs=pair)
+        assert 0 < closed_count < len(families)
 
     def test_repr_lists_the_facets(self):
         assert repr(SimplicialComplex.void([2, 5])) == "SimplicialComplex(ground=[2, 5], void)"

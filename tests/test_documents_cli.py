@@ -580,3 +580,18 @@ class TestCliLargeCharacteristic:
             "error: field characteristic must be below 2**31, "
             "got 1000000000000000003\n"
         )
+
+
+class TestCliDeeplyNestedDocument:
+    """A value nested past the JSON decoder's recursion limit is a bad document."""
+
+    @pytest.mark.parametrize("command", ["homology", "dual", "hochster"])
+    def test_deep_facets_line_exits_two(self, tmp_path, command):
+        doc = tmp_path / "deep.doc"
+        doc.write_text("ground: [1]\nfacets: " + "[" * 100_000 + "]" * 100_000 + "\n")
+        done = run_cli_process(command, str(doc))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: {doc}: line 2: JSON value for 'facets' is nested too deeply\n"
+        )
