@@ -85,7 +85,7 @@ def parse_document(text: str) -> ComplexDocument:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
             fields[key] = json.loads(value)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
             raise ValueError(f"line {lineno}: bad JSON value for {key!r}: {e}") from e
         except RecursionError:
             raise ValueError(

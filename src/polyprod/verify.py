@@ -14,6 +14,8 @@ into the trial loop.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -224,15 +226,74 @@ def _runner(name: str, check, census: bool = False):
     failure text, counterexample included, when it fails; a check that
     raises fails its trial with the exception as the text.  With ``census``
     trial 0 is an exhaustive check ahead of the requested random trials.
+
+    Trials are independent, so on k usable cores (capped at the trial
+    count) the run forks k - 1 children.  Child w runs the trials with
+    i % k == w and sends each outcome through its own pipe as soon as it is
+    known; this process runs those with i % k == 0, or any whose child
+    could not be forked, and yields every trial in order.  A child that
+    runs ahead blocks on its full pipe.  Without ``os.fork`` or
+    ``os.sched_getaffinity``, or on one core, every trial runs here; the
+    trials are the same whatever k is.  Closing the generator kills and
+    reaps the children.
     """
+    def outcome(i: int, max_vertices: int, seed: int):
+        try:
+            return check(random.Random(_subseed(seed, i)), i, max_vertices)
+        except Exception as e:
+            return f"check raised {type(e).__name__}: {e}"
+
     def run(trials: int, max_vertices: int, seed: int):
-        for i in range(trials + 1 if census else trials):
-            sub = _subseed(seed, i)
-            try:
-                err = check(random.Random(sub), i, max_vertices)
-            except Exception as e:
-                err = f"check raised {type(e).__name__}: {e}"
-            yield Trial(sub, name, err is None, err or "")
+        n = trials + 1 if census else trials
+        k = 1
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+            k = max(1, min(len(os.sched_getaffinity(0)), n))
+        readers = [None] * k  # trial i is read from readers[i % k], or run here if None
+        pids = []
+        try:
+            for w in range(1, k):
+                r, out = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(out)
+                    continue
+                if pid == 0:
+                    try:  # never return into the caller's stack or flush its buffers
+                        os.close(r)
+                        for f in readers:  # the earlier children's pipes
+                            if f is not None:
+                                f.close()
+                        for i in range(w, n, k):
+                            data = marshal.dumps(outcome(i, max_vertices, seed))
+                            while data:
+                                data = data[os.write(out, data):]
+                    finally:
+                        os._exit(0)
+                os.close(out)
+                pids.append(pid)
+                readers[w] = open(r, "rb")
+            for i in range(n):
+                reader = readers[i % k]
+                if reader is None:
+                    err = outcome(i, max_vertices, seed)
+                else:
+                    try:
+                        err = marshal.load(reader)
+                    except (EOFError, ValueError):
+                        raise RuntimeError(
+                            f"suite {name}: the process running trial {i} "
+                            f"(seed {_subseed(seed, i)}) ended without its result"
+                        ) from None
+                yield Trial(_subseed(seed, i), name, err is None, err or "")
+        finally:
+            for f in readers:
+                if f is not None:
+                    f.close()
+            for pid in pids:
+                os.kill(pid, 9)  # SIGKILL; one that already exited waits to be reaped
+                os.waitpid(pid, 0)
 
     return run
 

@@ -595,3 +595,21 @@ class TestCliDeeplyNestedDocument:
         assert done.stderr == (
             f"error: {doc}: line 2: JSON value for 'facets' is nested too deeply\n"
         )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no integer digit limit")
+class TestCliOverlongIntegerLabel:
+    """A label past the interpreter's integer digit limit is a bad document."""
+
+    @pytest.mark.parametrize("command", ["homology", "dual", "hochster"])
+    def test_long_ground_label_names_line_and_key(self, tmp_path, command):
+        doc = tmp_path / "long.doc"
+        doc.write_text("# one label of 5,000 digits\nground: [" + "7" * 5000 + "]\n"
+                       "facets: [[]]\n")
+        done = run_cli_process(command, str(doc))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith(
+            f"error: {doc}: line 2: bad JSON value for 'ground': "
+        ), done.stderr

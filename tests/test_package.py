@@ -28,11 +28,13 @@ def test_every_public_name_is_exported():
 
 def test_the_cold_import_loads_no_dataclasses_inspect_or_fractions():
     # every command imports the package cold, and these three (with what
-    # dataclasses pulls in) took most of that import; -S keeps what site
-    # imports out of the count
+    # dataclasses pulls in) took most of that import; the suites fan out
+    # with os.fork and marshal alone, not multiprocessing, threading or
+    # pickle; -S keeps what site imports out of the count
     src = Path(polyprod.__file__).parent.parent
+    unwanted = ("dataclasses", "inspect", "fractions", "multiprocessing", "threading", "pickle")
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import polyprod, polyprod.cli; "
-            "print(*[m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])")
+            f"print(*[m for m in {unwanted!r} if m in sys.modules])")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
     assert run.stdout.split() == []

@@ -1,6 +1,9 @@
 """The randomized verification suites and their support machinery."""
 
+import contextlib
+import os
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -26,12 +29,15 @@ from polyprod.verify import (
     TrialLog,
     _de_morgan_failure,
     _dual_failure,
+    _runner,
+    _subseed,
     cone_over_rp2,
     cycle_complex,
     minimize_complex,
     rp2_complex,
     run_suite,
     self_dual_complex,
+    suite_trials,
 )
 
 
@@ -412,3 +418,125 @@ class TestMinimizeComplex:
         small = minimize_complex(K, fails)
         assert fails(small)
         assert small.n_vertices == 2
+
+
+def _use_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
+def _record_forks(monkeypatch, fail_from=None):
+    # the pids of the children forked, with every fork from call number
+    # ``fail_from`` on refused as when the system runs out of processes
+    real = os.fork
+    calls, pids = [], []
+
+    def fork():
+        calls.append(None)
+        if fail_from is not None and len(calls) > fail_from:
+            raise OSError("planted: no more processes")
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    return pids
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+class TestFanOut:
+    """The trials are the same whatever number of cores runs them."""
+
+    @needs_fork
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_every_core_count_gives_the_same_trials(self, monkeypatch, seed):
+        runs = []
+        for cores in (1, 2, 3):
+            _use_cores(monkeypatch, cores)
+            forked = _record_forks(monkeypatch)
+            runs.append({name: run_suite(name, trials=t, max_vertices=mv, seed=seed).trials
+                         for name, (t, mv) in SMOKE.items()})
+            assert len(forked) == (cores - 1) * len(SMOKE)
+        assert runs[0] == runs[1] == runs[2]
+        _assert_no_child_left()
+
+    @needs_fork
+    def test_a_planted_fault_reaches_the_children(self, monkeypatch):
+        # the golden record's dual-drops-facet fault, planted before the
+        # call, fails trials on every residue with the same counterexamples
+        real = SimplicialComplex.dual
+
+        def broken(self, ambient):
+            d = real(self, ambient)
+            if len(d.faces) > 1:
+                f = max(d.facets())
+                return SimplicialComplex(d.ground, frozenset(d.faces - {f}))
+            return d
+
+        monkeypatch.setattr(SimplicialComplex, "dual", broken)
+        runs = []
+        for cores in (1, 2, 3):
+            _use_cores(monkeypatch, cores)
+            runs.append(run_suite("dual", trials=20, max_vertices=5, seed=5))
+        failed = {t.seed - _subseed(5, 0) for t in runs[0].failures}
+        assert {i % 2 for i in failed} == {0, 1} and {i % 3 for i in failed} == {0, 1, 2}
+        assert runs[0] == runs[1] == runs[2]
+
+    @needs_fork
+    def test_closing_the_generator_leaves_no_child(self, monkeypatch):
+        _use_cores(monkeypatch, 3)
+        forked = _record_forks(monkeypatch)
+        trials = suite_trials("dual")
+        first = [next(trials) for _ in range(5)]
+        assert len(forked) == 2
+        trials.close()
+        _assert_no_child_left()
+        assert [t.seed for t in first] == [_subseed(0, i) for i in range(5)]
+
+    @needs_fork
+    def test_a_child_that_dies_fails_the_run_naming_its_trial(self, monkeypatch):
+        parent = os.getpid()
+
+        def check(rng, i, max_vertices):
+            if i == 3 and os.getpid() != parent:
+                os._exit(1)
+            return None
+
+        monkeypatch.setitem(SUITES, "dies", SuiteSpec(_runner("dies", check), 8, 1, "planted"))
+        _use_cores(monkeypatch, 2)
+        with _deadline(30), pytest.raises(RuntimeError, match=r"trial 3 \(seed 3\)"):
+            run_suite("dies")
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fail_from", [0, 1])
+    def test_a_refused_fork_runs_its_trials_here(self, monkeypatch, fail_from):
+        _use_cores(monkeypatch, 1)
+        want = run_suite("slice-dual", trials=12, max_vertices=5, seed=2)
+        _use_cores(monkeypatch, 3)
+        forked = _record_forks(monkeypatch, fail_from)
+        got = run_suite("slice-dual", trials=12, max_vertices=5, seed=2)
+        assert len(forked) == fail_from
+        assert got == want
+        assert [t.seed for t in got.trials] == [_subseed(2, i) for i in range(12)]
