@@ -343,6 +343,8 @@ def minimize_complex(K: SimplicialComplex, still_fails,
     return K
 
 
+# One generator per random instance shape.  Each must keep the order of its
+# draws from ``rng``: every trial drawn through it depends on that order.
 def _random_pair_split(rng, ground: int):
     """Random disjoint (sigma, omega) inside a ground mask."""
     sigma = omega = 0
@@ -355,15 +357,26 @@ def _random_pair_split(rng, ground: int):
     return sigma, omega
 
 
-def _random_block_sizes(rng, m: int, total_max: int, size_max: int = 4):
+def _random_blocks(rng, total_max: int):
+    """Sizes and masks of 1-3 consecutive blocks of 1-4 vertices each; they
+    hold ``total_max`` vertices at most unless that is under one per block."""
+    m = rng.randint(1, 3)
     budget = total_max
     sizes = []
     for k in range(m):
-        hi = max(1, min(size_max, budget - (m - k - 1)))
-        n_k = rng.randint(1, hi)
+        n_k = rng.randint(1, max(1, min(4, budget - (m - k - 1))))
         sizes.append(n_k)
         budget -= n_k
-    return sizes
+    return sizes, consecutive_blocks(sizes)
+
+
+def _random_pairs(rng, blocks) -> list:
+    """A random X on each block and a random subcomplex A of it."""
+    pairs = []
+    for b in blocks:
+        X = random_complex(rng, vertices_of(b))
+        pairs.append((X, random_subcomplex(rng, X)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +502,10 @@ def _check_slice_dual(rng, i: int, max_vertices: int):
 # ---------------------------------------------------------------------------
 # suite: compose-slice (slices of polyhedral products work blockwise)
 
-def _random_product_instance(rng, max_total: int):
-    m = rng.randint(1, 3)
-    sizes = _random_block_sizes(rng, m, max_total)
-    blocks = consecutive_blocks(sizes)
-    K = random_complex(rng, range(1, m + 1))
-    pairs = []
-    for b in blocks:
-        X = random_complex(rng, vertices_of(b))
-        A = random_subcomplex(rng, X)
-        pairs.append((X, A))
-    return K, blocks, pairs
-
-
 def _check_compose_slice(rng, i: int, max_vertices: int):
-    K, blocks, pairs = _random_product_instance(rng, max_vertices)
+    _, blocks = _random_blocks(rng, max_vertices)
+    K = random_complex(rng, range(1, len(blocks) + 1))
+    pairs = _random_pairs(rng, blocks)
     S = polyhedral_complex(K, pairs)
     sigma, omega = _random_pair_split(rng, S.ground)
     lhs = S.slice(sigma, omega)
@@ -532,10 +534,8 @@ def _check_compose_slice(rng, i: int, max_vertices: int):
 # suite: compose-dual (duality swaps a composition for the dual composition)
 
 def _check_compose_dual(rng, i: int, max_vertices: int):
-    m = rng.randint(1, 3)
-    sizes = _random_block_sizes(rng, m, max_vertices)
-    blocks = consecutive_blocks(sizes)
-    K = random_complex(rng, range(1, m + 1))
+    sizes, blocks = _random_blocks(rng, max_vertices)
+    K = random_complex(rng, range(1, len(blocks) + 1))
     factors = [random_complex(rng, vertices_of(b)) for b in blocks]
     S = composition_complex(K, factors)
     total = mask_of(range(1, sum(sizes) + 1))
@@ -549,8 +549,8 @@ def _check_compose_dual(rng, i: int, max_vertices: int):
             + _serialize(outer=K, **_factors(factors))
         )
     # closure: compositions of self-dual complexes stay self-dual
-    sd_sizes = [rng.randint(1, 4) for _ in range(m)]
-    sd_outer = self_dual_complex(m)
+    sd_sizes = [rng.randint(1, 4) for _ in blocks]
+    sd_outer = self_dual_complex(len(blocks))
     sd = composition_complex(
         sd_outer, embed_on_blocks([self_dual_complex(s) for s in sd_sizes])
     )
@@ -627,12 +627,10 @@ def _free_random_complex(rng, ground) -> SimplicialComplex:
     return SimplicialComplex.empty_face_complex(ground)
 
 
-def _sphere_like(rng, ground) -> SimplicialComplex:
-    verts = tuple(sorted(ground))
+def _sphere_like(rng, verts) -> SimplicialComplex:
+    # every caller passes a run of consecutive labels, ascending
     if len(verts) >= 3 and rng.random() < 0.5:
-        edges = [(verts[i], verts[(i + 1) % len(verts)])
-                 for i in range(len(verts))]
-        return make_complex(verts, edges)
+        return cycle_complex(len(verts), verts[0])
     return SimplicialComplex.boundary_simplex(verts)
 
 
@@ -679,13 +677,12 @@ def _check_composition_homology(rng, i: int, max_vertices: int):
                 f"in degree {want}\n" + _serialize(outer=K)
             )
         return None
-    m = rng.randint(1, 3)
-    sizes = _random_block_sizes(rng, m, max_vertices)
-    blocks = consecutive_blocks(sizes)
+    _, blocks = _random_blocks(rng, max_vertices)
+    outer = range(1, len(blocks) + 1)
     if rng.random() < 0.6:
-        K = _sphere_like(rng, range(1, m + 1))
+        K = _sphere_like(rng, outer)
     else:
-        K = random_complex(rng, range(1, m + 1))
+        K = random_complex(rng, outer)
     factors = [_biased_free_complex(rng, vertices_of(b)) for b in blocks]
     try:
         composition_homology(K, factors)
@@ -703,10 +700,8 @@ def _check_composition_homology(rng, i: int, max_vertices: int):
 # suite: hochster-composition (piecewise table formula)
 
 def _check_hochster_composition(rng, i: int, max_vertices: int):
-    m = rng.randint(1, 3)
-    sizes = _random_block_sizes(rng, m, max_vertices)
-    blocks = consecutive_blocks(sizes)
-    K = random_complex(rng, range(1, m + 1))
+    _, blocks = _random_blocks(rng, max_vertices)
+    K = random_complex(rng, range(1, len(blocks) + 1))
     factors = []
     for b in blocks:
         L = random_complex(rng, vertices_of(b))
@@ -730,13 +725,13 @@ def _check_hochster_composition(rng, i: int, max_vertices: int):
 _LETTERS = ("a", "b", "c")
 
 
-def _random_finite_pairs(rng, m: int):
+def _random_finite_pairs(rng, m: int, least: int = 1) -> list:
+    """m finite pairs, each of ``least`` to ``least + 2`` points and any subset."""
     pairs = []
     for _ in range(m):
-        nx = rng.randint(1, 3)
+        nx = rng.randint(least, least + 2)
         points = frozenset(_LETTERS[:nx])
-        na = rng.randint(0, nx)
-        sub = frozenset(rng.sample(sorted(points), na))
+        sub = frozenset(rng.sample(sorted(points), rng.randint(0, nx)))
         pairs.append(FiniteSpacePair(points, sub))
     return pairs
 
@@ -767,18 +762,8 @@ def _check_substitution(rng, i: int, max_vertices: int):
     m = rng.randint(1, max_vertices)
     K = random_complex(rng, range(1, m + 1))
     sizes = [rng.randint(1, 2) for _ in range(m)]
-    blocks = consecutive_blocks(sizes)
-    inner = []
-    for b in blocks:
-        X = random_complex(rng, vertices_of(b))
-        A = random_subcomplex(rng, X)
-        inner.append((X, A))
-    leaf_pairs = []
-    for _ in range(sum(sizes)):
-        nu = rng.randint(0, 2)
-        points = frozenset(_LETTERS[:nu])
-        csub = frozenset(rng.sample(sorted(points), rng.randint(0, nu)))
-        leaf_pairs.append(FiniteSpacePair(points, csub))
+    inner = _random_pairs(rng, consecutive_blocks(sizes))
+    leaf_pairs = _random_finite_pairs(rng, sum(sizes), least=0)
     v = substitution_identity_check(K, inner, leaf_pairs)
     if v.ok:
         # factorization of positions with empty subspace through the link
