@@ -34,10 +34,15 @@ class FgAbelianGroup(Record):
     _fields = __slots__ = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
-        if rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {rank}")
+        # bool is an int subclass, and True would pass as 1
+        if type(rank) is not int or rank < 0:
+            raise ValueError(f"rank must be a nonnegative integer, got {rank!r}")
+        if type(torsion) is not tuple:
+            raise ValueError(f"invariant factors must be a tuple, got {torsion!r}")
         prev = 1
         for d in torsion:
+            if type(d) is not int:
+                raise ValueError(f"invariant factors must be integers, got {d!r}")
             if d < 2:
                 raise ValueError(f"invariant factors must be at least 2, got {d}")
             if d % prev:
@@ -68,8 +73,8 @@ class FgAbelianGroup(Record):
         """
         chain: list[int] = []
         for d in divisors:
-            if d < 1:
-                raise ValueError(f"cyclic orders must be positive, got {d}")
+            if type(d) is not int or d < 1:
+                raise ValueError(f"cyclic orders must be positive integers, got {d!r}")
             if d > 1:
                 for i, c in enumerate(chain):
                     chain[i], d = gcd(c, d), lcm(c, d)

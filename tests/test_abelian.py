@@ -25,6 +25,21 @@ class TestFgAbelianGroup:
         with pytest.raises(ValueError, match="nonnegative"):
             FgAbelianGroup(-1)
 
+    @pytest.mark.parametrize("rank, torsion", [
+        (1.5, ()), (1.0, ()), (True, ()), ("1", ()),
+        (0, [2]), (0, (2.0,)), (0, (True,)), (0, (2, 4.0)),
+    ])
+    def test_non_integer_input_is_refused(self, rank, torsion):
+        with pytest.raises(ValueError, match="integer|tuple"):
+            FgAbelianGroup(rank, torsion)
+
+    @pytest.mark.parametrize("rank, divisors", [
+        (0, [2.0]), (0, [True]), (0, ["2"]), (1.5, [2]), (False, []),
+    ])
+    def test_non_integer_divisors_are_refused(self, rank, divisors):
+        with pytest.raises(ValueError, match="integer"):
+            FgAbelianGroup.from_divisors(rank, divisors)
+
     def test_from_divisors_canonicalizes(self):
         assert FgAbelianGroup.from_divisors(0, [2, 2, 3]).torsion == (2, 6)
         assert FgAbelianGroup.from_divisors(0, [6, 4]).torsion == (2, 12)
