@@ -868,6 +868,10 @@ def suite_trials(name: str, trials: int | None = None,
     spec = SUITES[name]
     t = spec.trials if trials is None else trials
     mv = spec.max_vertices if max_vertices is None else max_vertices
+    for arg, value in (("trials", t), ("max_vertices", mv), ("seed", seed)):
+        # bool is an int subclass, and True would pass as 1
+        if type(value) is not int:
+            raise ValueError(f"{arg} must be an integer, got {value!r}")
     if t < 0:
         raise ValueError("trial count must be nonnegative")
     if mv < 1:

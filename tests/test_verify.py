@@ -222,6 +222,19 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="at least 1"):
             run_suite("dual", max_vertices=0)
 
+    @pytest.mark.parametrize("arg", ["trials", "max_vertices", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_non_integer_arguments_are_refused_before_any_trial(self, monkeypatch,
+                                                                arg, value):
+        ran = []
+        monkeypatch.setitem(SUITES, "count", SuiteSpec(
+            _runner("count", lambda rng, i, mv: ran.append(i)), 2, 2, "planted"))
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
+            suite_trials("count", **{arg: value})
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
+            run_suite("slice-dual", **{"trials": 2, arg: value})
+        assert ran == []
+
     def test_deterministic_replay(self):
         a = run_suite("slice-dual", trials=5, max_vertices=5, seed=9)
         b = run_suite("slice-dual", trials=5, max_vertices=5, seed=9)
