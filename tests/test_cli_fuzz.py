@@ -71,8 +71,8 @@ def documents(draw, most: int = 5):
 
 
 _COEFF = st.sampled_from(["z", "q", "p:2", "p:3", "p:4", "p:0", "p:x", "r"])
-_VERTEX_TEXT = st.builds(",".join, st.lists(st.sampled_from(["1", "2", "3", "5", "0", "-1", "x", ""]),
-                                          max_size=4))
+_VERTEX_TEXT = st.builds(
+    ",".join, st.lists(st.sampled_from(["1", "2", "3", "5", "0", "-1", "x", ""]), max_size=4))
 
 
 def _flags(command: str, n: int):
@@ -106,13 +106,7 @@ def _flags(command: str, n: int):
     return st.sampled_from([[], ["--pairs=delta"], ["--pairs=general"]])
 
 
-def _run(argv, files, monkeypatch) -> int:
-    def read(path, mode="r", encoding=None):
-        if path not in files:
-            raise FileNotFoundError(path)
-        return io.StringIO(files[path])
-
-    monkeypatch.setattr(cli, "open", read, raising=False)
+def _run(argv) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -126,6 +120,14 @@ def _run(argv, files, monkeypatch) -> int:
 
 @pytest.mark.parametrize("command", ["homology", "dual", "hochster", "moment-angle", "compose"])
 def test_generated_documents_exit_0_or_2(command, monkeypatch):
+    files = {}
+
+    def read(path, mode="r", encoding=None):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(cli, "open", read, raising=False)
     seen = set()
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -140,8 +142,9 @@ def test_generated_documents_exit_0_or_2(command, monkeypatch):
             count = 2 * n if flags == ["--pairs=general"] else n
             count = data.draw(st.sampled_from([count, count, count, 1, 4]))
             texts += [data.draw(documents(3))[0] for _ in range(count)]
-        files = {f"doc{j}.txt": t for j, t in enumerate(texts)}
-        code = _run([command, *files, *flags], files, monkeypatch)
+        files.clear()
+        files.update((f"doc{j}.txt", t) for j, t in enumerate(texts))
+        code = _run([command, *files, *flags])
         assert code in (0, 2), (command, texts, flags)
         seen.add(code)
 
