@@ -228,14 +228,19 @@ def _runner(name: str, check, census: bool = False):
     trial 0 is an exhaustive check ahead of the requested random trials.
 
     Trials are independent, so on k usable cores (capped at the trial
-    count) the run forks k - 1 children.  Child w runs the trials with
-    i % k == w and sends each outcome through its own pipe as soon as it is
-    known; this process runs those with i % k == 0, or any whose child
-    could not be forked, and yields every trial in order.  A child that
-    runs ahead blocks on its full pipe.  Without ``os.fork`` or
-    ``os.sched_getaffinity``, or on one core, every trial runs here; the
-    trials are the same whatever k is.  Closing the generator kills and
-    reaps the children.
+    count) the run splits them into contiguous chunks, about 32 per
+    process, and forks k - 1 children.  Every chunk number is written to a
+    ticket pipe before the first fork; each child, and this process, claims
+    the next chunk by reading a ticket whenever it is free, so a slow chunk
+    (the census) holds up one process while the others take the rest.  A
+    child sends each chunk's outcomes through its own pipe as one
+    length-prefixed ``marshal`` message.  This process yields every trial
+    in order, holding only the finished chunks ahead of the one it yields;
+    a child that runs ahead blocks on its full pipe.  Without ``os.fork``
+    or ``os.sched_getaffinity``, or on one core, every trial runs here
+    with no pipe; a fork refused leaves one claimer fewer.  The trials are
+    the same whatever k is.  Closing the generator kills and reaps the
+    children.
     """
     def outcome(i: int, max_vertices: int, seed: int):
         try:
@@ -248,10 +253,27 @@ def _runner(name: str, check, census: bool = False):
         k = 1
         if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
             k = max(1, min(len(os.sched_getaffinity(0)), n))
-        readers = [None] * k  # trial i is read from readers[i % k], or run here if None
+        if k == 1:
+            for i in range(n):
+                err = outcome(i, max_vertices, seed)
+                yield Trial(_subseed(seed, i), name, err is None, err or "")
+            return
+        # at most 1024 chunks, so that every 4-byte ticket fits in a
+        # one-page pipe before any process reads one
+        size = -(-n // min(n, 32 * k, 1024))
+        chunks = -(-n // size)
+
+        def chunk(c: int) -> list:
+            return [outcome(i, max_vertices, seed)
+                    for i in range(c * size, min(n, c * size + size))]
+
+        tickets, w = os.pipe()
+        _write_all(w, b"".join(c.to_bytes(4, "little") for c in range(chunks)))
+        os.close(w)  # a claim past the last ticket reads end of file
+        readers = {}  # each child's pipe, with the bytes of its unread message
         pids = []
         try:
-            for w in range(1, k):
+            for _ in range(1, k):
                 r, out = os.pipe()
                 try:
                     pid = os.fork()
@@ -262,40 +284,72 @@ def _runner(name: str, check, census: bool = False):
                 if pid == 0:
                     try:  # never return into the caller's stack or flush its buffers
                         os.close(r)
-                        for f in readers:  # the earlier children's pipes
-                            if f is not None:
-                                f.close()
-                        for i in range(w, n, k):
-                            data = marshal.dumps(outcome(i, max_vertices, seed))
-                            while data:
-                                data = data[os.write(out, data):]
+                        for fd in readers:  # the earlier children's pipes
+                            os.close(fd)
+                        while ticket := os.read(tickets, 4):
+                            c = int.from_bytes(ticket, "little")
+                            data = marshal.dumps((c, chunk(c)))
+                            _write_all(out, len(data).to_bytes(4, "little") + data)
                     finally:
                         os._exit(0)
                 os.close(out)
                 pids.append(pid)
-                readers[w] = open(r, "rb")
-            for i in range(n):
-                reader = readers[i % k]
-                if reader is None:
-                    err = outcome(i, max_vertices, seed)
-                else:
-                    try:
-                        err = marshal.load(reader)
-                    except (EOFError, ValueError):
+                readers[r] = bytearray()
+            import select  # only a run that forks waits on its children
+
+            done = {}  # finished chunks not yet yielded, by number
+            claiming = True
+            for c in range(chunks):
+                while c not in done:
+                    if readers:  # collect what has come, waiting only with no chunk left to claim
+                        ready = select.select(list(readers), [], [], 0 if claiming else None)[0]
+                        for fd in ready:
+                            _receive(fd, readers, done)
+                        if c in done:
+                            break
+                    if claiming:
+                        if ticket := os.read(tickets, 4):
+                            mine = int.from_bytes(ticket, "little")
+                            done[mine] = chunk(mine)
+                            continue
+                        claiming = False
+                    if not readers:  # every chunk claimed, every child gone, c never came
                         raise RuntimeError(
-                            f"suite {name}: the process running trial {i} "
-                            f"(seed {_subseed(seed, i)}) ended without its result"
-                        ) from None
-                yield Trial(_subseed(seed, i), name, err is None, err or "")
+                            f"suite {name}: the process running trial {c * size} "
+                            f"(seed {_subseed(seed, c * size)}) ended without its result"
+                        )
+                for i, err in enumerate(done.pop(c), c * size):
+                    yield Trial(_subseed(seed, i), name, err is None, err or "")
         finally:
-            for f in readers:
-                if f is not None:
-                    f.close()
+            os.close(tickets)
+            for fd in readers:
+                os.close(fd)
             for pid in pids:
                 os.kill(pid, 9)  # SIGKILL; one that already exited waits to be reaped
                 os.waitpid(pid, 0)
 
     return run
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(fd: int, readers: dict, done: dict) -> None:
+    # read what one child's pipe holds, keeping each whole message's chunk
+    # in ``done``; at end of file the child has ended and its pipe is closed
+    data = os.read(fd, 1 << 16)
+    if not data:
+        os.close(fd)
+        del readers[fd]
+        return
+    buf = readers[fd]
+    buf += data
+    while len(buf) >= 4 and len(buf) >= (end := 4 + int.from_bytes(buf[:4], "little")):
+        c, outcomes = marshal.loads(buf[4:end])
+        done[c] = outcomes
+        del buf[:end]
 
 
 def _serialize(**named) -> str:

@@ -3,8 +3,11 @@
 import contextlib
 import os
 import random
+import re
 import signal
+import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -530,18 +533,59 @@ class TestFanOut:
 
     @needs_fork
     def test_a_child_that_dies_fails_the_run_naming_its_trial(self, monkeypatch):
-        parent = os.getpid()
+        # every child dies on the first trial it claims; this process takes
+        # its own trials slowly, so the children claim some before it is done
+        parent, here = os.getpid(), []
 
         def check(rng, i, max_vertices):
-            if i == 3 and os.getpid() != parent:
+            if os.getpid() != parent:
                 os._exit(1)
+            here.append(i)
+            time.sleep(0.05)
             return None
 
-        monkeypatch.setitem(SUITES, "dies", SuiteSpec(_runner("dies", check), 8, 1, "planted"))
-        _use_cores(monkeypatch, 2)
-        with _deadline(30), pytest.raises(RuntimeError, match=r"trial 3 \(seed 3\)"):
+        monkeypatch.setitem(SUITES, "dies", SuiteSpec(_runner("dies", check), 20, 1, "planted"))
+        _use_cores(monkeypatch, 3)
+        with _deadline(30), pytest.raises(RuntimeError, match=r"trial (\d+) \(seed \1\)") as e:
             run_suite("dies")
+        lost = int(re.search(r"trial (\d+)", str(e.value)).group(1))
+        assert lost not in here
         _assert_no_child_left()
+
+    @needs_fork
+    @pytest.mark.parametrize("trials", [0, 1, 2, 63, 64, 65, 1001])
+    def test_every_chunking_gives_the_same_trials(self, monkeypatch, trials):
+        # on two cores (64 chunks) up to 64 trials make one-trial chunks, and
+        # 65 and 1001 (1002 with the dual census) multi-trial ones with a
+        # shorter last chunk; every planted trial fails with a text drawn from
+        # its own rng, so a trial run in the wrong chunk or slot shows
+        def check(rng, i, max_vertices):
+            return f"trial {i} drew {rng.random()}"
+
+        monkeypatch.setitem(SUITES, "echo", SuiteSpec(_runner("echo", check), 0, 1, "planted"))
+        runs = []
+        for cores in (1, 2, 3):
+            _use_cores(monkeypatch, cores)
+            runs.append([run_suite(name, trials=trials, max_vertices=5, seed=4).trials
+                         for name in ("echo", "dual")])
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0][0]) == trials and len(runs[0][1]) == trials + 1
+        _assert_no_child_left()
+
+    @needs_fork
+    def test_a_slow_trial_leaves_the_others_to_the_free_process(self, monkeypatch):
+        def check(rng, i, max_vertices):
+            if i == 0:
+                time.sleep(0.3)
+            return f"pid {os.getpid()}"
+
+        monkeypatch.setitem(SUITES, "slow", SuiteSpec(_runner("slow", check), 200, 1, "planted"))
+        _use_cores(monkeypatch, 2)
+        trials = run_suite("slow").trials
+        ran = Counter(t.counterexample for t in trials)
+        slow = trials[0].counterexample
+        assert len(ran) == 2
+        assert ran[slow] < len(trials) - ran[slow], ran
 
     @pytest.mark.parametrize("fail_from", [0, 1])
     def test_a_refused_fork_runs_its_trials_here(self, monkeypatch, fail_from):
