@@ -14,11 +14,16 @@ empty set.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from ._record import Record
 from .complexes import SimplicialComplex, mask_of, vertices_of
 
 _KEYS = ("ground", "blocks", "facets")
+
+# a label is a bit position, so a face's mask takes label / 8 bytes: the
+# label 2**25 costs 4 MiB per mask, and 10**18 fails to allocate at all
+MAX_LABEL = 1 << 25
 
 
 class ComplexDocument(Record):
@@ -30,6 +35,10 @@ class ComplexDocument(Record):
             raise ValueError("ground must list distinct vertices in increasing order")
         if any(v < 1 for v in ground):
             raise ValueError("vertex labels must be positive")
+        # the ground is sorted, and a facet's labels are read in one C pass
+        top = max(ground[-1] if ground else 0, max(chain.from_iterable(facets), default=0))
+        if top > MAX_LABEL:
+            raise ValueError(f"vertex labels must be at most 2**25 = {MAX_LABEL}, got {top}")
         if blocks is not None:
             if any(b < 1 for b in blocks):
                 raise ValueError("block sizes must be positive")
@@ -99,7 +108,10 @@ def parse_document(text: str) -> ComplexDocument:
     facets = fields["facets"]
     if not _is_int_list(ground):
         raise ValueError("ground must be a JSON list of integers")
-    if not isinstance(facets, list) or not all(_is_int_list(f) for f in facets):
+    # the type sets are built in C: a large document's labels are nearly
+    # all in its facets, and the label cap reads them once more
+    if not (isinstance(facets, list) and set(map(type, facets)) <= {list}
+            and set(map(type, chain.from_iterable(facets))) <= {int}):
         raise ValueError("facets must be a JSON list of integer lists")
     blocks = fields.get("blocks")
     if blocks is not None and not _is_int_list(blocks):

@@ -87,6 +87,14 @@ class TestParseDocument:
         with pytest.raises(ValueError, match="block sizes must be positive"):
             ComplexDocument(ground=(1,), facets=(), blocks=(0, 1))
 
+    def test_labels_above_two_to_the_25_are_refused(self):
+        top = 2**25
+        assert ComplexDocument(ground=(1, top), facets=((1, top),)).ground == (1, top)
+        with pytest.raises(ValueError, match=rf"at most 2\*\*25 = {top}, got {top + 1}$"):
+            ComplexDocument(ground=(1, top + 1), facets=())
+        with pytest.raises(ValueError, match=rf"got {top + 1}$"):
+            ComplexDocument(ground=(1,), facets=((1,), (top + 1,)))
+
     def test_block_grounds_requires_blocks(self):
         with pytest.raises(ValueError, match="no blocks line"):
             parse_document(TRI_DOC).block_grounds()
@@ -553,6 +561,23 @@ class TestCliLargeLabels:
         done = run_cli_process(command, str(doc))
         assert done.returncode == 0, done.stderr
         assert expected in done.stdout.splitlines()
+
+
+class TestCliHugeLabel:
+    """A label past 2**25 is refused before any mask is built."""
+
+    @pytest.mark.parametrize("command", ["homology", "dual", "hochster"])
+    def test_label_of_ten_to_the_eighteen_exits_two(self, tmp_path, command):
+        doc = tmp_path / "huge.doc"
+        doc.write_text("ground: [1,2,1000000000000000000]\n"
+                       "facets: [[1,2],[1,1000000000000000000]]\n")
+        done = run_cli_process(command, str(doc))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: {doc}: vertex labels must be at most 2**25 = 33554432, "
+            "got 1000000000000000000\n"
+        )
 
 
 class TestCliWideGround:
