@@ -2,7 +2,9 @@
 
 A record names its fields in ``_fields``, declares them as ``__slots__``
 (or keeps an instance dict when it needs one) and sets them in its own
-``__init__`` through ``object.__setattr__``, validating there.  The base
+``__init__`` through ``object.__setattr__``, validating there; the two
+built most often, ``SimplicialComplex`` and ``Trial``, call their slots'
+own ``__set__`` instead, which skips the lookup by name.  The base
 gives what ``dataclass(frozen=True)`` gave: equality with records of the
 same class only, a hash over the fields, the ``Name(field=value, ...)``
 repr, assignment and deletion refused, and ``pickle``, ``copy`` and

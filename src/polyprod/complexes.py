@@ -16,7 +16,7 @@ Labels are global: links, restrictions and slices never relabel.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 
 from ._record import Record
 
@@ -144,11 +144,10 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 def _code_bitset(codes, n: int) -> int:
     # the 2^n-bit integer with bit c set for each given code c
-    size = 1 << n
-    bits = bytearray(b"0") * size
+    bits = bytearray(b"0") * (1 << n)
     for c in codes:
-        bits[size - 1 - c] = 49  # ord("1"); the string is read high bit first
-    return int(bits, 2)
+        bits[c] = 49  # ord("1"); reversed below, as the string is read high bit first
+    return int(bits[::-1], 2)
 
 
 def _bitset_masks(present: int, support: int):
@@ -159,17 +158,20 @@ def _bitset_masks(present: int, support: int):
     return compress(_expand(support), flags)
 
 
-def _close_codes(codes, support: int):
-    # the faces, as masks in ascending order, under the given codes over
-    # ``support``: the downward closure as a subset-sum ("zeta") transform
-    # on one 2^n-bit integer (Bjorklund, Husfeldt, Kaski and Koivisto,
-    # STOC 2007).  Bit c stands for code c; the pass for vertex j adds
-    # c - 2^j for every present c that has bit j set
-    n = support.bit_count()
-    present = _code_bitset(codes, n)
-    for j, clear in enumerate(_clear_codes(n)):
+def _close_bitset(present: int, support: int):
+    # the faces, as masks in ascending order, under the codes set in
+    # ``present`` over ``support``: the downward closure as a subset-sum
+    # ("zeta") transform on one 2^n-bit integer (Bjorklund, Husfeldt, Kaski
+    # and Koivisto, STOC 2007).  Bit c stands for code c; the pass for
+    # vertex j adds c - 2^j for every present c that has bit j set
+    for j, clear in enumerate(_clear_codes(support.bit_count())):
         present |= (present >> (1 << j)) & clear
     return _bitset_masks(present, support)
+
+
+def _close_codes(codes, support: int):
+    # the faces under the given codes over ``support``, as _close_bitset
+    return _close_bitset(_code_bitset(codes, support.bit_count()), support)
 
 
 def _codes_closed(present: int, n: int) -> bool:
@@ -252,8 +254,8 @@ class SimplicialComplex(Record):
     _fields = ("ground", "faces")
 
     def __init__(self, ground: int, faces: frozenset[int]):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "faces", faces)
+        _set_ground(self, ground)
+        _set_faces(self, faces)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -467,6 +469,12 @@ class SimplicialComplex(Record):
         return SimplicialComplex(ground, frozenset(faces))
 
 
+# the slots' own setters: a call each, where ``object.__setattr__`` looks the
+# name up on the class first (a round of the suites builds about 275,000)
+_set_ground = SimplicialComplex.ground.__set__
+_set_faces = SimplicialComplex.faces.__set__
+
+
 def make_complex(ground, facets) -> SimplicialComplex:
     """Downward closure of a facet list; the module-level constructor."""
     return SimplicialComplex.from_facets(ground, facets)
@@ -573,20 +581,24 @@ def ghost_factorization(K: SimplicialComplex, pairs):
 def enumerate_complexes(ground):
     """All simplicial complexes on a ground set (at most 4 vertices).
 
-    Yields the void complex first, then every downward-closed family
-    containing the empty face, in ascending order of its code: bit i of
-    the code puts in the nonempty subset of ground code i + 1.
+    Yields every downward-closed family, the void complex first, in
+    ascending order of the bitset of its codes: bit c is set when the
+    subset of ground code c is a face.  The families are built vertex by
+    vertex, not found among all 2^(2^n) bitsets: over the codes below
+    2^(j+1), a family is closed exactly when the codes without bit j and
+    those with it (bit j cleared) form closed families B <= A over the
+    codes below 2^j (the recursion for the Dedekind numbers; Wiedemann,
+    Order 8, 1991).
     """
     g = _as_mask(ground)
     n = g.bit_count()
     if n > 4:
         raise ValueError("exhaustive enumeration is limited to 4 vertices")
-    yield SimplicialComplex.void(g)
-    for code in range(1 << (1 << n) - 1):
-        # bit c: code c is a face
-        present = code << 1 | 1
-        if _codes_closed(present, n):
-            yield SimplicialComplex(g, frozenset(_bitset_masks(present, g)))
+    families = [0, 1]  # on no vertex: the void complex and {0}
+    for j in range(n):
+        families = [a | b << (1 << j) for a in families for b in families if not b & ~a]
+    for present in sorted(families):
+        yield SimplicialComplex(g, frozenset(_bitset_masks(present, g)))
 
 
 def random_complex(rng, ground) -> SimplicialComplex:
@@ -604,8 +616,9 @@ def random_complex(rng, ground) -> SimplicialComplex:
     if r < 0.10:
         return SimplicialComplex.empty_face_complex(g)
     count = rng.randint(0, 1 << n)
-    codes = [rng.getrandbits(n) for _ in range(count)]
-    return SimplicialComplex(g, frozenset(_close_codes(codes, g)))
+    # each facet code goes into the bitset as it is drawn, with no list
+    present = _code_bitset(map(rng.getrandbits, repeat(n, count)), n)
+    return SimplicialComplex(g, frozenset(_close_bitset(present, g)))
 
 
 def random_subcomplex(rng, X: SimplicialComplex) -> SimplicialComplex:

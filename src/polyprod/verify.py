@@ -110,16 +110,23 @@ class Trial(Record):
     _fields = __slots__ = ("seed", "suite", "ok", "counterexample")
 
     def __init__(self, seed: int, suite: str, ok: bool, counterexample: str = ""):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "counterexample", counterexample)
+        _set_seed(self, seed)
+        _set_suite(self, suite)
+        _set_ok(self, ok)
+        _set_counterexample(self, counterexample)
 
     def lines(self) -> list[str]:
         head = f"TRIAL {self.seed} {self.suite} {'PASS' if self.ok else 'FAIL'}"
         if self.ok or not self.counterexample:
             return [head]
         return [head] + ["  " + l for l in self.counterexample.splitlines()]
+
+
+# the slots' own setters, as for SimplicialComplex: one Trial per trial
+_set_seed = Trial.seed.__set__
+_set_suite = Trial.suite.__set__
+_set_ok = Trial.ok.__set__
+_set_counterexample = Trial.counterexample.__set__
 
 
 class TrialLog(Sequence):
@@ -226,6 +233,9 @@ def _runner(name: str, check, census: bool = False):
     failure text, counterexample included, when it fails; a check that
     raises fails its trial with the exception as the text.  With ``census``
     trial 0 is an exhaustive check ahead of the requested random trials.
+    Each run builds one ``random.Random`` and, in every process, reseeds it
+    with trial i's derived seed before trial i, so no state passes from one
+    trial to the next.
 
     Trials are independent, so on k usable cores (capped at the trial
     count) the run splits them into contiguous chunks, about 32 per
@@ -242,20 +252,23 @@ def _runner(name: str, check, census: bool = False):
     the same whatever k is.  Closing the generator kills and reaps the
     children.
     """
-    def outcome(i: int, max_vertices: int, seed: int):
-        try:
-            return check(random.Random(_subseed(seed, i)), i, max_vertices)
-        except Exception as e:
-            return f"check raised {type(e).__name__}: {e}"
-
     def run(trials: int, max_vertices: int, seed: int):
+        rng = random.Random()
+
+        def outcome(i: int):
+            rng.seed(_subseed(seed, i))
+            try:
+                return check(rng, i, max_vertices)
+            except Exception as e:
+                return f"check raised {type(e).__name__}: {e}"
+
         n = trials + 1 if census else trials
         k = 1
         if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
             k = max(1, min(len(os.sched_getaffinity(0)), n))
         if k == 1:
             for i in range(n):
-                err = outcome(i, max_vertices, seed)
+                err = outcome(i)
                 yield Trial(_subseed(seed, i), name, err is None, err or "")
             return
         # at most 1024 chunks, so that every 4-byte ticket fits in a
@@ -264,8 +277,7 @@ def _runner(name: str, check, census: bool = False):
         chunks = -(-n // size)
 
         def chunk(c: int) -> list:
-            return [outcome(i, max_vertices, seed)
-                    for i in range(c * size, min(n, c * size + size))]
+            return [outcome(i) for i in range(c * size, min(n, c * size + size))]
 
         tickets, w = os.pipe()
         _write_all(w, b"".join(c.to_bytes(4, "little") for c in range(chunks)))
@@ -455,20 +467,18 @@ def _dual_failure(K: SimplicialComplex, d: SimplicialComplex | None = None):
 
 def _de_morgan_failure(K1: SimplicialComplex, K2: SimplicialComplex,
                        duals: dict | None = None):
-    # ``duals``, when given, maps complexes on the shared ground to their
+    # ``duals``, when given, maps face families on the shared ground to the
     # duals there; any other complex, such as a union or an intersection
-    # that is not in it, goes through ``dual``
+    # that is not in it, goes through ``dual``.  A complex is never falsy
     g = K1.ground
-    duals = duals or {}
-
-    def dual(K):
-        d = duals.get(K)
-        return K.dual(g) if d is None else d
-
-    d1, d2 = dual(K1), dual(K2)
-    if dual(K1.union(K2)) != d1.intersection(d2):
+    known = (duals or {}).get
+    d1 = known(K1.faces) or K1.dual(g)
+    d2 = known(K2.faces) or K2.dual(g)
+    K = K1.union(K2)
+    if (known(K.faces) or K.dual(g)) != d1.intersection(d2):
         return "dual of a union is not the intersection of duals"
-    if dual(K1.intersection(K2)) != d1.union(d2):
+    K = K1.intersection(K2)
+    if (known(K.faces) or K.dual(g)) != d1.union(d2):
         return "dual of an intersection is not the union of duals"
     return None
 
@@ -486,9 +496,9 @@ def _census_failure():
             continue
         # the family is closed under union and intersection, so De Morgan
         # reads the duals of both from those of its members
-        duals = {K: K.dual(g) for K in family}
-        for K, d in duals.items():
-            err = _dual_failure(K, d)
+        duals = {K.faces: K.dual(g) for K in family}
+        for K in family:
+            err = _dual_failure(K, duals[K.faces])
             if err:
                 return err + "\n" + _serialize(complex=K)
         for K1 in family:
@@ -511,7 +521,7 @@ def _check_dual(rng, i: int, max_vertices: int):
         K1 = minimize_complex(K1, lambda c: _dual_failure(c) is not None)
     elif err := _dual_failure(K2, d2):
         K2 = minimize_complex(K2, lambda c: _dual_failure(c) is not None)
-    elif _de_morgan_failure(K1, K2, {K1: d1, K2: d2}):
+    elif _de_morgan_failure(K1, K2, {K1.faces: d1, K2.faces: d2}):
         # shrink both by facets on their shared ground until neither can lose
         # one; the shrunk pair may break the other law, so report its own
         before = None

@@ -117,6 +117,34 @@ class TestCensus:
         err = _census_failure()
         assert err.splitlines()[0] == "dual of a union is not the intersection of duals"
 
+    def test_an_intersection_that_adds_a_face_is_caught(self, monkeypatch):
+        real = SimplicialComplex.intersection
+
+        def broken(self, other):
+            # the whole ground as an extra face: on one vertex the void
+            # complex meets itself in {{1}}, whose dual is no union of duals
+            K = real(self, other)
+            return SimplicialComplex(K.ground, K.faces | {K.ground})
+
+        monkeypatch.setattr(SimplicialComplex, "intersection", broken)
+        err = _census_failure()
+        assert err.splitlines()[0] == "dual of an intersection is not the union of duals"
+
+    def test_a_union_that_depends_on_argument_order_is_caught(self, monkeypatch):
+        real = SimplicialComplex.union
+
+        def broken(self, other):
+            # drops a facet only when the first argument is strictly inside
+            # the second, so only pairs taken in that order show it
+            K = real(self, other)
+            if self.faces < other.faces:
+                return SimplicialComplex(K.ground, K.faces - {max(K.facets())})
+            return K
+
+        monkeypatch.setattr(SimplicialComplex, "union", broken)
+        err = _census_failure()
+        assert err.splitlines()[0] == "dual of a union is not the intersection of duals"
+
 
 class TestTrialReporting:
     def test_passing_trial_is_one_line(self):
@@ -586,6 +614,27 @@ class TestFanOut:
         slow = trials[0].counterexample
         assert len(ran) == 2
         assert ran[slow] < len(trials) - ran[slow], ran
+
+    @needs_fork
+    def test_no_generator_state_passes_between_trials(self, monkeypatch):
+        # trial i draws i numbers and odd trials then raise; on one core and
+        # on two, each trial's draws are those of a generator made fresh
+        # from its own seed, whatever the trials before it drew or raised
+        def check(rng, i, max_vertices):
+            drawn = [rng.random() for _ in range(i)]
+            if i % 2:
+                raise ValueError(f"drew {drawn}")
+            return f"drew {drawn}"
+
+        monkeypatch.setitem(SUITES, "draws", SuiteSpec(_runner("draws", check), 70, 1, "planted"))
+        for cores in (1, 2):
+            _use_cores(monkeypatch, cores)
+            for i, t in enumerate(run_suite("draws", seed=6).trials):
+                fresh = random.Random(_subseed(6, i))
+                drawn = [fresh.random() for _ in range(i)]
+                raised = "check raised ValueError: " if i % 2 else ""
+                assert t.counterexample == f"{raised}drew {drawn}", (cores, i)
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("fail_from", [0, 1])
     def test_a_refused_fork_runs_its_trials_here(self, monkeypatch, fail_from):
