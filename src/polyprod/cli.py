@@ -19,7 +19,7 @@ from .complexes import (
     polyhedral_complex,
     vertices_of,
 )
-from .documents import ComplexDocument, document_of, parse_document
+from .documents import MAX_LABEL, ComplexDocument, document_of, parse_document
 from .homology import GF, RATIONALS, reduced_cohomology, reduced_homology
 from .hochster import hochster_table
 from .spaces import SpherePairSystem, sphere_pair_homology
@@ -45,9 +45,13 @@ def _parse_vertex_list(text: str) -> list[int]:
         if not part:
             continue
         try:
-            out.append(int(part))
+            v = int(part)
         except ValueError:
             raise ValueError(f"bad vertex {part!r} in {text!r}") from None
+        if v > MAX_LABEL:  # the documents' cap, before any mask is built
+            raise ValueError(f"vertex labels must be at most 2**25 = {MAX_LABEL}, "
+                             f"got {v} in {text!r}")
+        out.append(v)
     return out
 
 

@@ -71,8 +71,10 @@ def documents(draw, most: int = 5):
 
 
 _COEFF = st.sampled_from(["z", "q", "p:2", "p:3", "p:4", "p:0", "p:x", "r"])
-_VERTEX_TEXT = st.builds(
-    ",".join, st.lists(st.sampled_from(["1", "2", "3", "5", "0", "-1", "x", ""]), max_size=4))
+# vertex lists of the --relative-to and --pairs flags, with labels above the
+# 2**25 cap among them
+_VERTEX_TEXT = st.builds(",".join, st.lists(st.sampled_from(
+    ["1", "2", "3", "5", "0", "-1", "x", "", "33554433", "1000000000000000000"]), max_size=4))
 
 
 def _flags(command: str, n: int):

@@ -579,6 +579,20 @@ class TestCliHugeLabel:
             "got 1000000000000000000\n"
         )
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--relative-to", "1,2,3,1000000000000000000"),
+        ("--pairs", "1000000000000000000:1,2"),
+    ], ids=["dual", "hochster"])
+    def test_flag_label_of_ten_to_the_eighteen_exits_two(self, docdir, flag, value):
+        command = "dual" if flag == "--relative-to" else "hochster"
+        done = run_cli_process(command, str(docdir / "tri.doc"), flag, value)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: vertex labels must be at most 2**25 = 33554432, "
+            f"got 1000000000000000000 in {value.split(':')[0]!r}\n"
+        )
+
 
 class TestCliWideGround:
     """A slice walks the subsets of omega inside the link support only."""
