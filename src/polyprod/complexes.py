@@ -326,9 +326,6 @@ class SimplicialComplex(Record):
     def n_vertices(self) -> int:
         return self.ground.bit_count()
 
-    def has_face(self, face) -> bool:
-        return _as_mask(face) in self.faces
-
     def dim(self):
         """Top face dimension; None for the void complex."""
         if self.is_void:

@@ -51,16 +51,6 @@ class ComplexDocument(Record):
     def complex(self) -> SimplicialComplex:
         return SimplicialComplex.from_facets(mask_of(self.ground), self.facets)
 
-    def block_grounds(self) -> list[int]:
-        """Masks of the consecutive runs of ground vertices, per block."""
-        if self.blocks is None:
-            raise ValueError("document has no blocks line")
-        out, i = [], 0
-        for b in self.blocks:
-            out.append(mask_of(self.ground[i:i + b]))
-            i += b
-        return out
-
     def render(self) -> str:
         lines = [f"ground: {json.dumps(list(self.ground), separators=(',', ':'))}"]
         if self.blocks is not None:

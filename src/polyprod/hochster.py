@@ -402,9 +402,6 @@ class DualityWitness(Record):
         squares = [d + 1 for d, _ in self.taking if d + 1 < self.omega.bit_count()]
         return tuple((k, -1 if k & 1 else 1) for k in squares)
 
-    def map_at(self, degree: int) -> dict[int, tuple[int, int]]:
-        return dict(dict(self.taking).get(degree, ()))
-
 
 # The face bitsets of the last (K, dual) pair that a witness read, with
 # weak references to both complexes, and the cube of each omega code read

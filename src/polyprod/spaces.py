@@ -184,10 +184,6 @@ class SpherePairSystem(Record):
     def of(cls, *params) -> "SpherePairSystem":
         return cls(tuple((r, q) for r, q in params))
 
-    @property
-    def total_degree(self) -> int:
-        return sum(r + 1 for r, _ in self.params)
-
     def complement(self) -> "SpherePairSystem":
         return SpherePairSystem(tuple((r, r - q) for r, q in self.params))
 

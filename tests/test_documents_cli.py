@@ -41,7 +41,7 @@ class TestParseDocument:
         doc = parse_document(text)
         assert doc.blocks == (2, 1)
         assert doc.render() == text
-        assert doc.block_grounds() == [mask_of([1, 2]), mask_of([3])]
+        assert doc.ground == (1, 2, 3) and doc.facets == ((1, 2), (3,))
 
     def test_comments_and_blank_lines_are_skipped(self):
         text = "# a triangle boundary\n\nground: [1,2,3]\n\nfacets: [[1,2],[1,3],[2,3]]\n"
@@ -94,10 +94,6 @@ class TestParseDocument:
             ComplexDocument(ground=(1, top + 1), facets=())
         with pytest.raises(ValueError, match=rf"got {top + 1}$"):
             ComplexDocument(ground=(1,), facets=((1,), (top + 1,)))
-
-    def test_block_grounds_requires_blocks(self):
-        with pytest.raises(ValueError, match="no blocks line"):
-            parse_document(TRI_DOC).block_grounds()
 
     def test_document_of_round_trips_through_facets(self):
         K = parse_document(RP2_DOC).complex()

@@ -487,8 +487,7 @@ class TestDualityWitness:
         # two points on {1,2}: the single non-face of the slice at
         # (empty, {1,2}) is the edge itself, sent to the empty dual face
         w = alexander_duality_witness(two_points(), (), (1, 2))
-        assert w.map_at(1) == {3: (0, 1)}
-        assert w.map_at(0) == {}
+        assert w.taking == ((1, ((3, (0, 1)),)),)
         assert w.sign_profile == ()
 
     def test_requires_nonempty_omega(self):

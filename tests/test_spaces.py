@@ -191,9 +191,6 @@ class TestSpherePairSystem:
         with pytest.raises(ValueError, match=r"must be integers, got \(1\.9, 0\.5\)"):
             SpherePairSystem.of((1.9, 0.5))
 
-    def test_total_degree(self):
-        assert SpherePairSystem.of((1, 0), (2, 1)).total_degree == 5
-
     def test_complement_parameters(self):
         s = SpherePairSystem.of((1, 0), (2, 1), (3, 3))
         assert s.complement().params == ((1, 1), (2, 1), (3, 0))
@@ -351,7 +348,7 @@ class TestAssembledBarDuality:
                 K.dual(K.ground), cohomology=True).items():
             if omega:
                 co_bar = co_bar.direct_sum(g.shift(_shift(co_params, sigma, omega)))
-        r = S.total_degree
+        r = sum(p + 1 for p, _ in S.params)
         bar = sphere_pair_homology(K, S).bar
         assert bar == GradedGroup.from_dict(
             {r - e - 1: g for e, g in co_bar.groups}), (K, params)
