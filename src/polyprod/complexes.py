@@ -158,18 +158,22 @@ def _bitset_masks(present: int, support: int):
     return compress(_expand(support), flags)
 
 
-def _close_bitset(present: int, support: int):
-    # the faces, as masks in ascending order, under the codes set in
-    # ``present`` over ``support``: the downward closure as a subset-sum
-    # ("zeta") transform on one 2^n-bit integer (Bjorklund, Husfeldt, Kaski
-    # and Koivisto, STOC 2007).  Bit c stands for code c; the pass for
-    # vertex j adds c - 2^j for every present c that has bit j set
-    for j, clear in enumerate(_clear_codes(support.bit_count())):
+def _close_bitset(present: int, support: int) -> frozenset[int]:
+    # the faces, as a set of masks, under the codes set in ``present`` over
+    # ``support``: the downward closure as a subset-sum ("zeta") transform
+    # on one 2^n-bit integer (Bjorklund, Husfeldt, Kaski and Koivisto, STOC
+    # 2007).  Bit c stands for code c; the pass for vertex j adds c - 2^j
+    # for every present c that has bit j set.  A closure with every code
+    # present is the full simplex, and gets its one set from _subset_set
+    n = support.bit_count()
+    for j, clear in enumerate(_clear_codes(n)):
         present |= (present >> (1 << j)) & clear
-    return _bitset_masks(present, support)
+    if present == (1 << (1 << n)) - 1:
+        return _subset_set(support)
+    return frozenset(_bitset_masks(present, support))
 
 
-def _close_codes(codes, support: int):
+def _close_codes(codes, support: int) -> frozenset[int]:
     # the faces under the given codes over ``support``, as _close_bitset
     return _close_bitset(_code_bitset(codes, support.bit_count()), support)
 
@@ -308,8 +312,7 @@ class SimplicialComplex(Record):
             support |= f
         expanded = sum(1 << f.bit_count() for f in distinct)
         if 1 << support.bit_count() <= CLOSURE_BITSET_RATIO * expanded:
-            return cls(g, frozenset(_close_codes(_codes_over(distinct, support),
-                                                 support)))
+            return cls(g, _close_codes(_codes_over(distinct, support), support))
         closed = set()
         for f in masks:
             if f not in closed:
@@ -421,17 +424,23 @@ class SimplicialComplex(Record):
         versa; applying ``dual`` twice with the same ambient set returns the
         original face family.
 
-        The faces are all subsets of the ambient set but the complements of
-        the faces of self, one set difference.  A face with a vertex outside
-        the ambient set has a complement that is no subset and removes
-        nothing, so the counts add up to 2^n exactly when there is none.
+        One set operation maps the smaller side of the 2^n subsets of the
+        ambient set: the dual is the complements of the non-faces when the
+        faces are more than half, else every subset but the complements of
+        the faces.  Complementing is a bijection on those subsets, and a
+        face with a vertex outside the ambient set is none of them, so on
+        either side the counts add up to 2^n exactly when there is none.
         """
         s_amb = _as_mask(relative_to)
         if s_amb == 0:
             raise ValueError("dual requires a nonempty ambient vertex set")
         faces = self.faces
-        out = _subset_set(s_amb).difference(map(s_amb.__xor__, faces))
-        if len(out) + len(faces) != 1 << s_amb.bit_count():
+        subsets = _subset_set(s_amb)
+        if 2 * len(faces) > len(subsets):
+            out = frozenset(map(s_amb.__xor__, subsets.difference(faces)))
+        else:
+            out = subsets.difference(map(s_amb.__xor__, faces))
+        if len(out) + len(faces) != len(subsets):
             bad = vertices_of(self.support() & ~s_amb)[0]
             raise ValueError(f"support vertex {bad} is outside the ambient set")
         return SimplicialComplex(s_amb, out)
@@ -603,7 +612,9 @@ def random_complex(rng, ground) -> SimplicialComplex:
 
     The facet count is uniform on [0, 2^n] and each facet is uniform over
     subsets of the ground; the family is the downward closure.  A facet
-    count of zero also yields the void complex.
+    count of zero also yields the void complex.  A ground given as a mask
+    skips the label loop, and a closure to the full simplex shares the face
+    set of :meth:`SimplicialComplex.full_simplex` (up to 12 vertices).
     """
     g = _as_mask(ground)
     n = g.bit_count()
@@ -615,7 +626,7 @@ def random_complex(rng, ground) -> SimplicialComplex:
     count = rng.randint(0, 1 << n)
     # each facet code goes into the bitset as it is drawn, with no list
     present = _code_bitset(map(rng.getrandbits, repeat(n, count)), n)
-    return SimplicialComplex(g, frozenset(_close_bitset(present, g)))
+    return SimplicialComplex(g, _close_bitset(present, g))
 
 
 def random_subcomplex(rng, X: SimplicialComplex) -> SimplicialComplex:

@@ -102,6 +102,7 @@ _SELF_DUAL_FACETS = {
 }
 
 
+@cache
 def self_dual_complex(n: int) -> SimplicialComplex:
     return make_complex(range(1, n + 1), _SELF_DUAL_FACETS[n])
 
@@ -440,7 +441,7 @@ def _random_pairs(rng, blocks) -> list:
     """A random X on each block and a random subcomplex A of it."""
     pairs = []
     for b in blocks:
-        X = random_complex(rng, vertices_of(b))
+        X = random_complex(rng, b)
         pairs.append((X, random_subcomplex(rng, X)))
     return pairs
 
@@ -513,7 +514,7 @@ def _check_dual(rng, i: int, max_vertices: int):
     if i == 0:
         return _census_failure()
     n = rng.randint(1, max_vertices)
-    ground = range(1, n + 1)
+    ground = (1 << n) - 1
     K1 = random_complex(rng, ground)
     K2 = random_complex(rng, ground)
     d1, d2 = K1.dual(K1.ground), K2.dual(K2.ground)
@@ -550,7 +551,7 @@ def _slice_dual_failure(K: SimplicialComplex, sigma: int, omega: int):
 
 def _check_slice_dual(rng, i: int, max_vertices: int):
     n = rng.randint(1, max_vertices)
-    K = random_complex(rng, range(1, n + 1))
+    K = random_complex(rng, (1 << n) - 1)
     sigma, omega = _random_pair_split(rng, K.ground)
     if omega == 0:
         omega = _bits_of(K.ground)[rng.randrange(n)]
@@ -568,7 +569,7 @@ def _check_slice_dual(rng, i: int, max_vertices: int):
 
 def _check_compose_slice(rng, i: int, max_vertices: int):
     _, blocks = _random_blocks(rng, max_vertices)
-    K = random_complex(rng, range(1, len(blocks) + 1))
+    K = random_complex(rng, (1 << len(blocks)) - 1)
     pairs = _random_pairs(rng, blocks)
     S = polyhedral_complex(K, pairs)
     sigma, omega = _random_pair_split(rng, S.ground)
@@ -599,10 +600,10 @@ def _check_compose_slice(rng, i: int, max_vertices: int):
 
 def _check_compose_dual(rng, i: int, max_vertices: int):
     sizes, blocks = _random_blocks(rng, max_vertices)
-    K = random_complex(rng, range(1, len(blocks) + 1))
-    factors = [random_complex(rng, vertices_of(b)) for b in blocks]
+    K = random_complex(rng, (1 << len(blocks)) - 1)
+    factors = [random_complex(rng, b) for b in blocks]
     S = composition_complex(K, factors)
-    total = mask_of(range(1, sum(sizes) + 1))
+    total = (1 << sum(sizes)) - 1
     lhs = S.dual(total)
     rhs = composition_complex(
         K.dual(K.ground), [L.dual(b) for L, b in zip(factors, blocks)]
@@ -662,7 +663,7 @@ def _check_alexander(rng, i: int, max_vertices: int):
         K = curated[i]
     else:
         n = rng.randint(1, max_vertices)
-        K = random_complex(rng, range(1, n + 1))
+        K = random_complex(rng, (1 << n) - 1)
     err = _duality_table_failure(K)
     if err is None:
         bad = homology_consistency_failures(K)
@@ -765,10 +766,10 @@ def _check_composition_homology(rng, i: int, max_vertices: int):
 
 def _check_hochster_composition(rng, i: int, max_vertices: int):
     _, blocks = _random_blocks(rng, max_vertices)
-    K = random_complex(rng, range(1, len(blocks) + 1))
+    K = random_complex(rng, (1 << len(blocks)) - 1)
     factors = []
     for b in blocks:
-        L = random_complex(rng, vertices_of(b))
+        L = random_complex(rng, b)
         if L.is_void:
             L = SimplicialComplex.empty_face_complex(b)
         factors.append(L)
@@ -802,7 +803,7 @@ def _random_finite_pairs(rng, m: int, least: int = 1) -> list:
 
 def _check_complement(rng, i: int, max_vertices: int):
     m = rng.randint(1, max_vertices)
-    ground = range(1, m + 1)
+    ground = (1 << m) - 1
     if i % 10 == 0:
         K = SimplicialComplex.full_simplex(ground)
     elif i % 10 == 5:
@@ -824,7 +825,7 @@ def _check_complement(rng, i: int, max_vertices: int):
 
 def _check_substitution(rng, i: int, max_vertices: int):
     m = rng.randint(1, max_vertices)
-    K = random_complex(rng, range(1, m + 1))
+    K = random_complex(rng, (1 << m) - 1)
     sizes = [rng.randint(1, 2) for _ in range(m)]
     inner = _random_pairs(rng, consecutive_blocks(sizes))
     leaf_pairs = _random_finite_pairs(rng, sum(sizes), least=0)
@@ -867,7 +868,7 @@ def _check_sphere_duality(rng, i: int, max_vertices: int):
         v = sphere_pair_duality_check(K, system)
         return None if v.ok else v.detail
     n = rng.randint(1, max_vertices)
-    K = random_complex(rng, range(1, n + 1))
+    K = random_complex(rng, (1 << n) - 1)
     params = []
     for _ in range(n):
         r = rng.randint(0, 3)
@@ -923,6 +924,12 @@ SUITES = {
 }
 
 
+# the largest ground a suite may draw on.  A random complex draws up to 2^n
+# facets: 20 trials of each suite take under a second at 16 vertices, up to
+# 40 s at 20, and run out of memory (as failed trials) at 26
+MAX_SUITE_VERTICES = 16
+
+
 def suite_trials(name: str, trials: int | None = None,
                  max_vertices: int | None = None, seed: int = 0):
     """The trials of one named suite, each run as it is read."""
@@ -940,6 +947,8 @@ def suite_trials(name: str, trials: int | None = None,
         raise ValueError("trial count must be nonnegative")
     if mv < 1:
         raise ValueError("max vertices must be at least 1")
+    if mv > MAX_SUITE_VERTICES:
+        raise ValueError(f"max vertices must be at most {MAX_SUITE_VERTICES}, got {mv}")
     return spec.fn(t, mv, seed)
 
 

@@ -481,6 +481,62 @@ class TestDualAgainstItsDefinition:
             K.dual(ambient)
         assert str(err.value) == "support vertex 14 is outside the ambient set"
 
+    @staticmethod
+    def _ambient_and_ground(rng, n, shape):
+        # compact: 1..n; gapped: n labels up to 40; wider: a gapped ambient
+        # set with the ground one to n vertices short of it
+        if shape == "compact":
+            ambient = list(range(1, n + 1))
+        else:
+            ambient = sorted(rng.sample(range(1, 41), n))
+        ground = ambient
+        if shape == "wider":
+            ground = sorted(rng.sample(ambient, rng.randint(0, n - 1)))
+        return ambient, ground
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("shape", ["compact", "gapped", "wider"])
+    def test_families_on_both_sides_of_half(self, n, shape):
+        # a family of more than half the 2^n subsets maps its non-faces and
+        # one of at most half maps its faces; the families need not be
+        # closed, and the counts cross half by one either way
+        rng = random.Random(f"{shape}-{n}")
+        ambient, ground = self._ambient_and_ground(rng, n, shape)
+        amb = sum(1 << (v - 1) for v in ambient)
+        inside = _subsets_by_definition(ground)
+        half = 1 << (n - 1)
+        counts = {0, 1, half - 1, half, half + 1, len(inside) - 1, len(inside)}
+        counts |= {rng.randint(0, len(inside)) for _ in range(4)}
+        for count in sorted(c for c in counts if 0 <= c <= len(inside)):
+            faces = frozenset(rng.sample(inside, count))
+            K = SimplicialComplex(sum(1 << (v - 1) for v in ground), faces)
+            want = {amb ^ s for s in _subsets_by_definition(ambient)
+                    if s not in faces}
+            d = K.dual(amb)
+            assert d.ground == amb
+            assert isinstance(d.faces, frozenset)
+            assert d.faces == want, (ambient, ground, count)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_a_face_outside_the_ambient_set_is_refused_on_both_sides(self, n):
+        # the same family but for one face with the vertices 41 and 44,
+        # outside the ambient set, next to half - 1 faces and to half + 1
+        rng = random.Random(n)
+        ambient = sorted(rng.sample(range(1, 41), n))
+        amb = sum(1 << (v - 1) for v in ambient)
+        inside = _subsets_by_definition(ambient)
+        half = 1 << (n - 1)
+        for count in (half - 1, half + 1):
+            faces = frozenset(rng.sample(inside, count)) | {mask_of([41, 44])}
+            with pytest.raises(ValueError) as err:
+                SimplicialComplex(amb, faces).dual(amb)
+            assert str(err.value) == "support vertex 41 is outside the ambient set"
+
+    def test_an_empty_ambient_set_is_refused(self):
+        for faces in (frozenset(), frozenset({0})):
+            with pytest.raises(ValueError, match="^dual requires a nonempty ambient"):
+                SimplicialComplex(0, faces).dual(0)
+
 
 class TestJoin:
     def test_join_of_two_point_pairs_is_square(self):
@@ -782,6 +838,7 @@ class TestEnumerationAndRandom:
         # compact and gapped grounds of 0-10 vertices; the golden record
         # rarely draws gapped ones
         labels = random.Random(9)
+        full = 0
         for seed in range(3000):
             n = seed % 11
             if seed % 2:
@@ -792,6 +849,28 @@ class TestEnumerationAndRandom:
             got = random_complex(rng, ground)
             assert got == _random_complex_per_bit(oracle_rng, ground), (ground, seed)
             assert rng.getstate() == oracle_rng.getstate()
+            if n and len(got.faces) == 1 << n:
+                # a closure to the full simplex reads its face set from the
+                # cache (on no vertex, {0} also comes from the 5% branch)
+                assert got.faces is SimplicialComplex.full_simplex(ground).faces
+                full += 1
+        assert full > 800
+
+    @pytest.mark.parametrize("ground", [[], [1], [1, 2, 3], [2, 5, 9, 11],
+                                        list(range(1, 13)), list(range(1, 14))],
+                             ids=lambda g: f"{len(g)}-vertices")
+    def test_the_closure_of_the_ground_is_the_full_simplex(self, ground):
+        full = SimplicialComplex.full_simplex(ground)
+        K = make_complex(ground, [ground])
+        assert K == full
+        # the face set is shared up to 12 vertices and built afresh past them
+        assert (K.faces is full.faces) == (len(ground) <= 12)
+        # one facet short of the ground closes to its own full simplex
+        if ground:
+            part = SimplicialComplex.full_simplex(ground[1:])
+            K = make_complex(ground, [ground[1:]])
+            assert K.faces == part.faces
+            assert (K.faces is part.faces) == (len(ground) <= 13)
 
     def test_random_subcomplex_nests(self):
         rng = random.Random(3)

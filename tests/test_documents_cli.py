@@ -467,6 +467,16 @@ class TestCliVerify:
         code, _, err = run_cli(capsys, "verify", "nosuch")
         assert code == 2 and "unknown suite 'nosuch'" in err
 
+    @pytest.mark.parametrize("suite", ["dual", "alexander"])
+    def test_oversized_max_vertices_exit_two_before_any_trial(self, suite):
+        # in a child process, so that a trial run by mistake at 26 vertices
+        # shows as a timeout, not as this process running out of memory
+        run = run_cli_process("verify", suite, "--max-vertices", "26",
+                              "--trials", "20", "--seed", "1")
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == "error: max vertices must be at most 16, got 26\n"
+
 
 class TestCliErrors:
     def test_missing_file(self, capsys):

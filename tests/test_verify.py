@@ -266,6 +266,23 @@ class TestRunSuite:
             run_suite("slice-dual", **{"trials": 2, arg: value})
         assert ran == []
 
+    @pytest.mark.parametrize("max_vertices", [17, 10**6])
+    def test_oversized_max_vertices_are_refused_before_any_trial(self, monkeypatch,
+                                                                 max_vertices):
+        # a random complex draws up to 2^n facets: past 16 vertices a trial
+        # takes seconds to minutes, and past 25 it runs out of memory
+        ran = []
+        monkeypatch.setitem(SUITES, "count", SuiteSpec(
+            _runner("count", lambda rng, i, mv: ran.append(i)), 2, 2, "planted"))
+        message = f"^max vertices must be at most 16, got {max_vertices}$"
+        with pytest.raises(ValueError, match=message):
+            suite_trials("count", max_vertices=max_vertices)
+        for name in ("dual", "alexander"):
+            with pytest.raises(ValueError, match=message):
+                run_suite(name, trials=2, max_vertices=max_vertices)
+        assert ran == []
+        assert len(run_suite("count", max_vertices=16).trials) == 2
+
     def test_deterministic_replay(self):
         a = run_suite("slice-dual", trials=5, max_vertices=5, seed=9)
         b = run_suite("slice-dual", trials=5, max_vertices=5, seed=9)
