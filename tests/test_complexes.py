@@ -481,10 +481,15 @@ class TestDualAgainstItsDefinition:
             K.dual(ambient)
         assert str(err.value) == "support vertex 14 is outside the ambient set"
 
-    @staticmethod
-    def _ambient_and_ground(rng, n, shape):
-        # compact: 1..n; gapped: n labels up to 40; wider: a gapped ambient
-        # set with the ground one to n vertices short of it
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("shape", ["compact", "gapped", "wider"])
+    def test_families_on_both_sides_of_half(self, n, shape):
+        # a family of more than half the 2^n subsets maps its non-faces and
+        # one of at most half maps its faces; the families need not be
+        # closed, and the counts cross half by one either way.  Ambient
+        # sets: 1..n, or n labels up to 40 with the ground equal to them
+        # ("gapped") or one to n vertices short of them ("wider")
+        rng = random.Random(f"{shape}-{n}")
         if shape == "compact":
             ambient = list(range(1, n + 1))
         else:
@@ -492,16 +497,6 @@ class TestDualAgainstItsDefinition:
         ground = ambient
         if shape == "wider":
             ground = sorted(rng.sample(ambient, rng.randint(0, n - 1)))
-        return ambient, ground
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    @pytest.mark.parametrize("shape", ["compact", "gapped", "wider"])
-    def test_families_on_both_sides_of_half(self, n, shape):
-        # a family of more than half the 2^n subsets maps its non-faces and
-        # one of at most half maps its faces; the families need not be
-        # closed, and the counts cross half by one either way
-        rng = random.Random(f"{shape}-{n}")
-        ambient, ground = self._ambient_and_ground(rng, n, shape)
         amb = sum(1 << (v - 1) for v in ambient)
         inside = _subsets_by_definition(ground)
         half = 1 << (n - 1)
