@@ -224,7 +224,8 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
 
     The faces come in descending mask order, so each sigma + v comes
     before sigma.  The meet M(sigma) of the facets above sigma is sigma
-    itself at a facet, else the AND of M(sigma + v) over v in S.  A vertex
+    itself at a facet, else the AND of M(sigma + v) over v in S; one pass
+    over the ground's vertices finds S and M(sigma) together.  A vertex
     v of S & M(sigma) is a cone point of the link: the slice at any w
     holding it is a cone on it (a face tau of the slice lies in a facet
     above sigma, which holds v, so tau + v is in the slice too), and its
@@ -247,13 +248,15 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
     t with any vertices of S below t outside S(sigma + t) added.  Each
     such w takes its entry at the first v, from t down, where A's or B's
     entry is zero, and is sliced (:func:`_slice_bitset`) only where both
-    are nonzero at every v.  Both rules, and the slice by its definition,
-    need K closed downward in its ground.  So the table, over all pairs or
-    requested ones, checks that once, by ``complexes._require_closed``,
-    and raises ValueError for any other family before it slices: one with
-    a face outside the ground names the vertex, and one that is not
-    closed downward says so.  The README's entry on bigraded slice homology
-    tables gives timings.
+    are nonzero at every v.  The one exception is w = t alone: A and B
+    are both the slice {empty}, yet the slice at (sigma, t) is the point
+    {empty, t}, the cone on B, so its entry is zero and it is not walked.
+    Both rules, and the slice by its definition, need K closed downward in
+    its ground.  So the table, over all pairs or requested ones, checks
+    that once, by ``complexes._require_closed``, and raises ValueError for
+    any other family before it slices: one with a face outside the ground
+    names the vertex, and one that is not closed downward says so.  The
+    README's entry on bigraded slice homology tables gives timings.
     """
     faces = K.faces
     ground = K.ground
@@ -279,17 +282,25 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
         # 12-vertex table peaks at 20 MiB so, at 27 MiB raising each one
         # apart); a key's entry stays alive in ``links``
         raised: dict[int, GradedGroup] = {}
+        point = group(1, 0)  # the slice {empty} at (sigma, empty)
+        bits = _bits_of(ground)
         for sigma in sorted(faces, reverse=True):
-            support = _link_support(faces, sigma, ground & ~sigma)
+            # the link support and the meet in one pass: meets holds the faces
+            # above sigma only, so v in sigma or sigma + v no face finds none
+            support = 0
             meet = -1
-            for b in _bits_of(support):
-                meet &= meets[sigma | b]
+            for b in bits:
+                m = meets.get(sigma | b)
+                if m is not None:
+                    support |= b
+                    meet &= m
             meets[sigma] = meet = meet if support else sigma
             span = support & ~meet
-            found = {0: group(1, 0)}  # the slice {empty} at (sigma, empty)
+            found = {0: point}
             for t in _bits_of(span):
                 # the w = x + t with top vertex t, nonzero only where the
-                # entry at (sigma, x) or at (sigma + t, x) is
+                # entry at (sigma, x) or at (sigma + t, x) is; not at x
+                # empty, where the slice is the point {empty, t}
                 up_support, up_found = links[sigma | t]
                 below = span & (t - 1)
                 xs = set(found)
@@ -297,6 +308,7 @@ def hochster_table(K: SimplicialComplex, coeff: FieldCoeff | None = None,
                 for u in up_found:
                     if not u & ~below:
                         xs.update([u | y for y in rest])
+                xs.discard(0)
                 for x in sorted(xs):
                     w = x | t
                     v = t
@@ -370,10 +382,13 @@ class DualityWitness(Record):
     _fields = ("sigma", "omega", "nonfaces", "omega_code")
 
     def __init__(self, sigma: int, omega: int, nonfaces: int, omega_code: int):
-        # one update of the instance dict in place of one
+        # the instance dict's items set directly, in place of one
         # object.__setattr__ call per field
-        self.__dict__.update(sigma=sigma, omega=omega, nonfaces=nonfaces,
-                             omega_code=omega_code)
+        d = self.__dict__
+        d["sigma"] = sigma
+        d["omega"] = omega
+        d["nonfaces"] = nonfaces
+        d["omega_code"] = omega_code
 
     def __repr__(self) -> str:
         return f"DualityWitness(sigma={self.sigma!r}, omega={self.omega!r})"
@@ -555,8 +570,8 @@ def slice_duality_mismatches(table: BigradedTable,
                     if rhs.groups != want:
                         failing.append(
                             (sigma, omega, _first_mismatch(lhs, rhs, size)))
-    for _, found, rest in dual_cohomology._stored():
-        count -= len(found) * len(rest) - (0 in found)
+    for tau, (support, found) in dual_cohomology.links.items():
+        count -= (len(found) << (g & ~tau & ~support).bit_count()) - (0 in found)
     if failing or count:
         for tau, found, rest in dual_cohomology._stored():
             free = g & ~tau

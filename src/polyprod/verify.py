@@ -17,6 +17,7 @@ from __future__ import annotations
 import marshal
 import os
 import random
+import time
 from bisect import bisect_right
 from collections.abc import Sequence
 from functools import cache
@@ -251,7 +252,8 @@ def _runner(name: str, check, census: bool = False):
     or ``os.sched_getaffinity``, or on one core, every trial runs here
     with no pipe; a fork refused leaves one claimer fewer.  The trials are
     the same whatever k is.  Closing the generator kills and reaps the
-    children.
+    children; a child whose parent has ended some other way (killed, say)
+    ends within 0.1 s, by a thread that watches its parent.
     """
     def run(trials: int, max_vertices: int, seed: int):
         rng = random.Random()
@@ -280,6 +282,7 @@ def _runner(name: str, check, census: bool = False):
         def chunk(c: int) -> list:
             return [outcome(i) for i in range(c * size, min(n, c * size + size))]
 
+        parent = os.getpid()
         tickets, w = os.pipe()
         _write_all(w, b"".join(c.to_bytes(4, "little") for c in range(chunks)))
         os.close(w)  # a claim past the last ticket reads end of file
@@ -299,6 +302,10 @@ def _runner(name: str, check, census: bool = False):
                         os.close(r)
                         for fd in readers:  # the earlier children's pipes
                             os.close(fd)
+                        import threading  # only a forked child starts a thread
+
+                        threading.Thread(target=_end_when_orphaned, args=(parent,),
+                                         daemon=True).start()
                         while ticket := os.read(tickets, 4):
                             c = int.from_bytes(ticket, "little")
                             data = marshal.dumps((c, chunk(c)))
@@ -342,6 +349,14 @@ def _runner(name: str, check, census: bool = False):
                 os.waitpid(pid, 0)
 
     return run
+
+
+def _end_when_orphaned(parent: int) -> None:
+    # a forked child's watch: a trial may run for seconds, and once the
+    # process that forked the child is gone no one reads its results
+    while os.getppid() == parent:
+        time.sleep(0.1)
+    os._exit(0)
 
 
 def _write_all(fd: int, data: bytes) -> None:

@@ -914,9 +914,12 @@ class TestMayerVietorisWalk:
     neighbours are nonzero at every v of w is sliced.
     """
 
-    def test_rp2_join_triangle_boundary_asks_for_three_families(self, monkeypatch):
+    def test_rp2_join_triangle_boundary_asks_for_two_families(self, monkeypatch):
         # rp2 joined with the triangle boundary, 224 faces: slicing every w
-        # outside the cone points asks for 204 distinct families
+        # outside the cone points asks for 204 distinct families, 203 of them
+        # with the points {empty, t} left out.  The walk asks for two, the
+        # slice {empty} and the join itself: it never asks for the point,
+        # whose entry is zero
         real = hochster.homology_of_faces
         keys = []
 
@@ -929,9 +932,37 @@ class TestMayerVietorisWalk:
         # bound the way perfbench's tracer binds it
         monkeypatch.setattr(hochster, "homology_of_faces", counting)
         table = hochster_table(K)
-        assert len(keys) == len(set(keys)) == 3
+        assert len(keys) == len(set(keys)) == 2
         # the join's reduced homology, Z/2 in degree 3, one degree up
         assert v_entry(table.entry(0, K.ground)) == {4: FgAbelianGroup(0, (2,))}
+
+    @pytest.mark.parametrize("coeff", [None, GF(2)], ids=["Z", "GF2"])
+    @pytest.mark.parametrize("cohomology", [False, True], ids=["homology", "cohomology"])
+    def test_no_point_is_sliced_and_every_entry_stands(self, monkeypatch, coeff, cohomology):
+        # random complexes on 1-9 vertices and their duals: the walk never
+        # hands homology_of_faces a family on one vertex (a point {empty, t},
+        # zero by definition), and its table is still the one of every pair
+        # sliced alone
+        real = hochster.homology_of_faces
+        keys = []
+
+        def counting(faces, *args, **kwargs):
+            keys.append(tuple(faces))
+            return real(faces, *args, **kwargs)
+
+        monkeypatch.setattr(hochster, "homology_of_faces", counting)
+        rng = random.Random(4301)
+        for n in [*range(1, 10), *range(1, 10)]:
+            K = random_complex(rng, range(1, n + 1))
+            for L in (K, K.dual(K.ground)):
+                keys.clear()
+                every = hochster_table(L, coeff, cohomology=cohomology)
+                points = [f for f in keys if functools.reduce(int.__or__, f, 0).bit_count() == 1]
+                assert not points, list(map(vertices_of, L.facets()))
+                asked = hochster_table(L, coeff, pairs=index_pairs(L.ground),
+                                       cohomology=cohomology)
+                assert every.nonzero_items() == asked.nonzero_items(), (
+                    list(map(vertices_of, L.facets())))
 
     def test_planted_entries_fail_at_their_pairs_in_table_order(self):
         # every vertex of rp2 is a face, so each entry stored at the empty
@@ -947,9 +978,13 @@ class TestMayerVietorisWalk:
         first = min(w for w in found if w)
         planted = dict(found)
         del planted[first]
-        planted[g] = GradedGroup(((2, Z_GROUP),))
         links = dict(true.links)
         links[0] = (support, planted)
+        # with the drop alone no entry of the table fails: only the count
+        # of nonzero pairs, one fewer than the dual's, finds it
+        dropped = list(slice_duality_mismatches(hochster.BigradedTable(g, links), co_dual))
+        assert [(sigma, omega) for sigma, omega, _ in dropped] == [(0, first)]
+        planted[g] = GradedGroup(((2, Z_GROUP),))
         table = hochster.BigradedTable(g, links)
         got = list(slice_duality_mismatches(table, co_dual))
         assert [(sigma, omega) for sigma, omega, _ in got] == [(0, first), (0, g)]

@@ -5,9 +5,12 @@ import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -575,6 +578,30 @@ class TestFanOut:
         trials.close()
         _assert_no_child_left()
         assert [t.seed for t in first] == [_subseed(0, i) for i in range(5)]
+
+    @needs_fork
+    def test_a_killed_run_leaves_no_child(self):
+        # the CLI run in its own session, its first process killed after
+        # 1 s; each child ends before its next trial (about 50 ms at 16
+        # vertices), not after its chunk, so the whole group is gone within
+        # 3 s.  It outlived the kill by 6.6 s when nothing in the children
+        # watched their parent
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.Popen(
+            [sys.executable, "-m", "polyprod.cli", "verify", "complement",
+             "--max-vertices", "16", "--trials", "2000", "--seed", "3"],
+            stdout=subprocess.DEVNULL, env=env, start_new_session=True)
+        time.sleep(1)
+        run.kill()
+        run.wait()
+        deadline = time.monotonic() + 3
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(run.pid, 0)
+                time.sleep(0.05)
+            os.killpg(run.pid, signal.SIGKILL)  # leave nothing behind when it fails
 
     @needs_fork
     def test_a_child_that_dies_fails_the_run_naming_its_trial(self, monkeypatch):
