@@ -582,10 +582,10 @@ class TestFanOut:
     @needs_fork
     def test_a_killed_run_leaves_no_child(self):
         # the CLI run in its own session, its first process killed after
-        # 1 s; each child ends before its next trial (about 50 ms at 16
-        # vertices), not after its chunk, so the whole group is gone within
-        # 3 s.  It outlived the kill by 6.6 s when nothing in the children
-        # watched their parent
+        # 1 s: a thread in each child ends it within 0.1 s, mid-trial (one
+        # trial here can take 18 s), so the whole group is gone within 3 s.
+        # It outlived the kill by 6.6 s and more when nothing in the
+        # children watched their parent
         src = str(Path(__file__).parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
