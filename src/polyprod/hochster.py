@@ -548,6 +548,8 @@ def slice_duality_mismatches(table: BigradedTable,
         raise ValueError("slice duality compares tables over all pairs")
     if dual_cohomology.ground != g:
         raise ValueError("slice duality compares tables on one ground")
+    if table.cohomology or not dual_cohomology.cohomology:
+        raise ValueError("slice duality compares a homology table with a cohomology table")
     links = table.links
     co_links = dual_cohomology.links
     failing = []

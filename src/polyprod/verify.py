@@ -8,8 +8,8 @@ slice-dual and alexander suites.  Trials are deterministic: trial i of a
 run with seed s uses the derived seed ``s * 1_000_003 + i``.
 
 A suite is one check ``check(rng, i, max_vertices)`` returning None or the
-failure text, plus one ``SUITES`` entry; :func:`_runner` turns the check
-into the trial loop.
+failure text, plus one ``SUITES`` entry naming it; :func:`suite_trials`
+runs it per trial and :func:`_fan_out` spreads the trials over the cores.
 """
 
 from __future__ import annotations
@@ -228,131 +228,102 @@ def _subseed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
-def _runner(name: str, check, census: bool = False):
-    """The registry function that runs ``check`` once per trial.
+def _fan_out(count: int, job):
+    """Yield ``job(i)`` for each i in ``range(count)``, in order.
 
-    ``check(rng, i, max_vertices)`` returns None when trial i passes and the
-    failure text, counterexample included, when it fails; a check that
-    raises fails its trial with the exception as the text.  With ``census``
-    trial 0 is an exhaustive check ahead of the requested random trials.
-    Each run builds one ``random.Random`` and, in every process, reseeds it
-    with trial i's derived seed before trial i, so no state passes from one
-    trial to the next.
-
-    Trials are independent, so on k usable cores (capped at the trial
-    count) the run splits them into contiguous chunks, about 32 per
-    process, and forks k - 1 children.  Every chunk number is written to a
-    ticket pipe before the first fork; each child, and this process, claims
-    the next chunk by reading a ticket whenever it is free, so a slow chunk
-    (the census) holds up one process while the others take the rest.  A
-    child sends each chunk's outcomes through its own pipe as one
-    length-prefixed ``marshal`` message.  This process yields every trial
-    in order, holding only the finished chunks ahead of the one it yields;
-    a child that runs ahead blocks on its full pipe.  Without ``os.fork``
-    or ``os.sched_getaffinity``, or on one core, every trial runs here
-    with no pipe; a fork refused leaves one claimer fewer.  The trials are
-    the same whatever k is.  Closing the generator kills and reaps the
-    children; a child whose parent has ended some other way (killed, say)
-    ends within 0.1 s, by a thread that watches its parent.
+    On k usable cores (capped at the count) the indices split into
+    contiguous chunks, about 32 per process, whose numbers go into a ticket
+    pipe; k - 1 children are forked, and each, like this process, claims
+    the next chunk whenever it is free, so a slow chunk (the dual census)
+    holds up only the process that claimed it.  A child sends each chunk's
+    results, which ``marshal`` must take, down its own pipe as one
+    length-prefixed message, and blocks once the pipe is full; this process
+    keeps only the finished chunks ahead of the one it yields.  Without
+    ``os.fork`` or ``os.sched_getaffinity``, or on one core, every job runs
+    here with no pipe; a fork refused leaves one claimer fewer.  A lost
+    chunk raises ``ChildProcessError`` with its first index.  Closing the
+    generator kills and reaps the children, and a child ends within 0.1 s
+    of its parent's end, by a thread that watches it.
     """
-    def run(trials: int, max_vertices: int, seed: int):
-        rng = random.Random()
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = max(1, min(len(os.sched_getaffinity(0)), count))
+    if k == 1:
+        yield from map(job, range(count))
+        return
+    # at most 1024 chunks, so that every 4-byte ticket fits in a
+    # one-page pipe before any process reads one
+    size = -(-count // min(count, 32 * k, 1024))
+    chunks = -(-count // size)
 
-        def outcome(i: int):
-            rng.seed(_subseed(seed, i))
+    def chunk(c: int) -> list:
+        return [job(i) for i in range(c * size, min(count, c * size + size))]
+
+    parent = os.getpid()
+    tickets, w = os.pipe()
+    _write_all(w, b"".join(c.to_bytes(4, "little") for c in range(chunks)))
+    os.close(w)  # a claim past the last ticket reads end of file
+    readers = {}  # each child's pipe, with the bytes of its unread message
+    pids = []
+    try:
+        for _ in range(1, k):
+            r, out = os.pipe()
             try:
-                return check(rng, i, max_vertices)
-            except Exception as e:
-                return f"check raised {type(e).__name__}: {e}"
-
-        n = trials + 1 if census else trials
-        k = 1
-        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-            k = max(1, min(len(os.sched_getaffinity(0)), n))
-        if k == 1:
-            for i in range(n):
-                err = outcome(i)
-                yield Trial(_subseed(seed, i), name, err is None, err or "")
-            return
-        # at most 1024 chunks, so that every 4-byte ticket fits in a
-        # one-page pipe before any process reads one
-        size = -(-n // min(n, 32 * k, 1024))
-        chunks = -(-n // size)
-
-        def chunk(c: int) -> list:
-            return [outcome(i) for i in range(c * size, min(n, c * size + size))]
-
-        parent = os.getpid()
-        tickets, w = os.pipe()
-        _write_all(w, b"".join(c.to_bytes(4, "little") for c in range(chunks)))
-        os.close(w)  # a claim past the last ticket reads end of file
-        readers = {}  # each child's pipe, with the bytes of its unread message
-        pids = []
-        try:
-            for _ in range(1, k):
-                r, out = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(out)
-                    continue
-                if pid == 0:
-                    try:  # never return into the caller's stack or flush its buffers
-                        os.close(r)
-                        for fd in readers:  # the earlier children's pipes
-                            os.close(fd)
-                        import threading  # only a forked child starts a thread
-
-                        threading.Thread(target=_end_when_orphaned, args=(parent,),
-                                         daemon=True).start()
-                        while ticket := os.read(tickets, 4):
-                            c = int.from_bytes(ticket, "little")
-                            data = marshal.dumps((c, chunk(c)))
-                            _write_all(out, len(data).to_bytes(4, "little") + data)
-                    finally:
-                        os._exit(0)
+                pid = os.fork()
+            except OSError:
+                os.close(r)
                 os.close(out)
-                pids.append(pid)
-                readers[r] = bytearray()
-            import select  # only a run that forks waits on its children
+                continue
+            if pid == 0:
+                try:  # never return into the caller's stack or flush its buffers
+                    os.close(r)
+                    for fd in readers:  # the earlier children's pipes
+                        os.close(fd)
+                    import threading  # only a forked child starts a thread
 
-            done = {}  # finished chunks not yet yielded, by number
-            claiming = True
-            for c in range(chunks):
-                while c not in done:
-                    if readers:  # collect what has come, waiting only with no chunk left to claim
-                        ready = select.select(list(readers), [], [], 0 if claiming else None)[0]
-                        for fd in ready:
-                            _receive(fd, readers, done)
-                        if c in done:
-                            break
-                    if claiming:
-                        if ticket := os.read(tickets, 4):
-                            mine = int.from_bytes(ticket, "little")
-                            done[mine] = chunk(mine)
-                            continue
-                        claiming = False
-                    if not readers:  # every chunk claimed, every child gone, c never came
-                        raise RuntimeError(
-                            f"suite {name}: the process running trial {c * size} "
-                            f"(seed {_subseed(seed, c * size)}) ended without its result"
-                        )
-                for i, err in enumerate(done.pop(c), c * size):
-                    yield Trial(_subseed(seed, i), name, err is None, err or "")
-        finally:
-            os.close(tickets)
-            for fd in readers:
-                os.close(fd)
-            for pid in pids:
-                os.kill(pid, 9)  # SIGKILL; one that already exited waits to be reaped
-                os.waitpid(pid, 0)
+                    threading.Thread(target=_end_when_orphaned, args=(parent,),
+                                     daemon=True).start()
+                    while ticket := os.read(tickets, 4):
+                        c = int.from_bytes(ticket, "little")
+                        data = marshal.dumps((c, chunk(c)))
+                        _write_all(out, len(data).to_bytes(4, "little") + data)
+                finally:
+                    os._exit(0)
+            os.close(out)
+            pids.append(pid)
+            readers[r] = bytearray()
+        import select  # only a run that forks waits on its children
 
-    return run
+        done = {}  # finished chunks not yet yielded, by number
+        claiming = True
+        for c in range(chunks):
+            while c not in done:
+                if readers:  # collect what has come, waiting only with no chunk left to claim
+                    ready = select.select(list(readers), [], [], 0 if claiming else None)[0]
+                    for fd in ready:
+                        _receive(fd, readers, done)
+                    if c in done:
+                        break
+                if claiming:
+                    if ticket := os.read(tickets, 4):
+                        mine = int.from_bytes(ticket, "little")
+                        done[mine] = chunk(mine)
+                        continue
+                    claiming = False
+                if not readers:  # every chunk claimed, every child gone, c never came
+                    raise ChildProcessError(c * size)
+            yield from done.pop(c)
+    finally:
+        os.close(tickets)
+        for fd in readers:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL; one that already exited waits to be reaped
+            os.waitpid(pid, 0)
 
 
 def _end_when_orphaned(parent: int) -> None:
-    # a forked child's watch: a trial may run for seconds, and once the
+    # a forked child's watch: a job may run for seconds, and once the
     # process that forked the child is gone no one reads its results
     while os.getppid() == parent:
         time.sleep(0.1)
@@ -896,58 +867,40 @@ def _check_sphere_duality(rng, i: int, max_vertices: int):
 # registry
 
 class SuiteSpec(Record):
-    _fields = __slots__ = ("fn", "trials", "max_vertices", "summary")
+    _fields = __slots__ = ("check", "trials", "max_vertices", "census")
 
-    def __init__(self, fn: object, trials: int, max_vertices: int, summary: str):
-        object.__setattr__(self, "fn", fn)
+    def __init__(self, check, trials: int, max_vertices: int, census: bool = False):
+        object.__setattr__(self, "check", check)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "max_vertices", max_vertices)
-        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "census", census)
 
 
 SUITES = {
-    "dual": SuiteSpec(
-        _runner("dual", _check_dual, census=True), 10_000, 8,
-        "dual involution, De Morgan laws, small-ground census"),
-    "slice-dual": SuiteSpec(
-        _runner("slice-dual", _check_slice_dual), 1000, 10,
-        "dual of a slice vs complementary slice of the dual"),
-    "compose-slice": SuiteSpec(
-        _runner("compose-slice", _check_compose_slice), 1000, 10,
-        "blockwise slices and ghost factorization of products"),
-    "compose-dual": SuiteSpec(
-        _runner("compose-dual", _check_compose_dual), 1000, 10,
-        "dual of a composition and self-dual closure"),
-    "alexander": SuiteSpec(
-        _runner("alexander", _check_alexander), 500, 7,
-        "slice homology vs dual slice cohomology with witness"),
-    "composition-homology": SuiteSpec(
-        _runner("composition-homology", _check_composition_homology), 210, 9,
-        "tensor formula for composition homology"),
-    "hochster-composition": SuiteSpec(
-        _runner("hochster-composition", _check_hochster_composition), 50, 8,
-        "piecewise table formula for compositions"),
-    "complement": SuiteSpec(
-        _runner("complement", _check_complement), 1000, 4,
-        "finite-model complement identity"),
-    "substitution": SuiteSpec(
-        _runner("substitution", _check_substitution), 500, 3,
-        "two-level finite products and ghost splitting"),
-    "sphere-duality": SuiteSpec(
-        _runner("sphere-duality", _check_sphere_duality), 200, 6,
-        "sphere-pair ledger duality pairing"),
+    "dual": SuiteSpec(_check_dual, 10_000, 8, census=True),
+    "slice-dual": SuiteSpec(_check_slice_dual, 1000, 10),
+    "compose-slice": SuiteSpec(_check_compose_slice, 1000, 10),
+    "compose-dual": SuiteSpec(_check_compose_dual, 1000, 10),
+    "alexander": SuiteSpec(_check_alexander, 500, 7),
+    "composition-homology": SuiteSpec(_check_composition_homology, 210, 9),
+    "hochster-composition": SuiteSpec(_check_hochster_composition, 50, 8),
+    "complement": SuiteSpec(_check_complement, 1000, 4),
+    "substitution": SuiteSpec(_check_substitution, 500, 3),
+    "sphere-duality": SuiteSpec(_check_sphere_duality, 200, 6),
 }
 
 
 # the largest ground a suite may draw on.  A random complex draws up to 2^n
-# facets: 20 trials of each suite take under a second at 16 vertices, up to
-# 40 s at 20, and run out of memory (as failed trials) at 26
+# facets (out of memory, as failed trials, at 26).  At 16 one trial can take
+# a minute: complement's and substitution's finite models enumerate a product
+# of up to 3 points per vertex at every face, and alexander's tables span 3^n pairs
 MAX_SUITE_VERTICES = 16
 
 
 def suite_trials(name: str, trials: int | None = None,
                  max_vertices: int | None = None, seed: int = 0):
-    """The trials of one named suite, each run as it is read."""
+    """The trials of one named suite, each run as it is read; with its
+    ``census`` set, trial 0 is an exhaustive check ahead of the random ones."""
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r}; choose one of: {known}")
@@ -964,7 +917,32 @@ def suite_trials(name: str, trials: int | None = None,
         raise ValueError("max vertices must be at least 1")
     if mv > MAX_SUITE_VERTICES:
         raise ValueError(f"max vertices must be at most {MAX_SUITE_VERTICES}, got {mv}")
-    return spec.fn(t, mv, seed)
+    return _trials(name, spec.check, t + 1 if spec.census else t, mv, seed)
+
+
+def _trials(name: str, check, count: int, max_vertices: int, seed: int):
+    """Trial i < count is ``check(rng, i, max_vertices)``: None or the failure
+    text, and a check that raises fails with the exception as the text.  The
+    process that runs trial i first reseeds the run's one ``random.Random``
+    with its seed, so no state passes from one trial to the next."""
+    rng = random.Random()
+
+    def outcome(i: int):
+        rng.seed(_subseed(seed, i))
+        try:
+            return check(rng, i, max_vertices)
+        except Exception as e:
+            return f"check raised {type(e).__name__}: {e}"
+
+    outcomes = _fan_out(count, outcome)
+    try:
+        for i, err in enumerate(outcomes):
+            yield Trial(_subseed(seed, i), name, err is None, err or "")
+    except ChildProcessError as e:  # its one argument is the first trial lost
+        raise RuntimeError(f"suite {name}: the process running trial {e.args[0]} (seed "
+                           f"{_subseed(seed, e.args[0])}) ended without its result") from None
+    finally:
+        outcomes.close()  # kills and reaps the children now, not when collected
 
 
 def run_suite(name: str, trials: int | None = None,

@@ -14,7 +14,7 @@ from polyprod.cli import main
 from polyprod.complexes import SimplicialComplex, mask_of, vertices_of
 from polyprod.documents import ComplexDocument, document_of, parse_document
 from polyprod.hochster import index_pairs
-from polyprod.verify import SuiteSpec, Trial
+from polyprod.verify import SuiteSpec
 
 TRI_DOC = "ground: [1,2,3]\nfacets: [[1,2],[1,3],[2,3]]\n"
 S0_DOC = "ground: [1,2]\nfacets: [[1],[2]]\n"
@@ -405,16 +405,14 @@ class TestCliVerify:
         assert out.splitlines()[0] == "TRIAL 3000009 slice-dual PASS"
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
-        def fake(trials, max_vertices, seed):
-            yield Trial(7, "always-fail", False, "planted counterexample")
+        def fake(rng, i, max_vertices):
+            return "planted counterexample"
 
-        monkeypatch.setitem(
-            verify.SUITES, "always-fail", SuiteSpec(fake, 1, 1, "planted")
-        )
+        monkeypatch.setitem(verify.SUITES, "always-fail", SuiteSpec(fake, 1, 1))
         code, out, _ = run_cli(capsys, "verify", "always-fail")
         assert code == 1
         assert out == (
-            "TRIAL 7 always-fail FAIL\n"
+            "TRIAL 0 always-fail FAIL\n"
             "  planted counterexample\n"
             "suite always-fail: 1 trials, 1 failures\n"
         )
@@ -424,20 +422,17 @@ class TestCliVerify:
         printed = []
         heard = []
 
-        def fake(trials, max_vertices, seed):
-            for i in range(trials):
-                # each trial is drawn only once the one before it is printed
-                heard.append(len(printed))
-                if i in (0, 2, 5):
-                    yield Trial(seed + i, "streamed", False, f"planted {i}\nground: [1]")
-                else:
-                    yield Trial(seed + i, "streamed", True)
+        def fake(rng, i, max_vertices):
+            # on one core each trial runs only once the one before it is printed
+            heard.append(len(printed))
+            return f"planted {i}\nground: [1]" if i in (0, 2, 5) else None
 
         def recording(lines):
             printed.append(list(lines))
             real_print(lines)
 
-        monkeypatch.setitem(verify.SUITES, "streamed", SuiteSpec(fake, 7, 1, "planted"))
+        monkeypatch.setitem(verify.SUITES, "streamed", SuiteSpec(fake, 7, 1))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(cli, "_print", recording)
         code, out, _ = run_cli(capsys, "verify", "streamed", "--seed", "40")
         assert code == 1

@@ -739,11 +739,16 @@ class TestSliceDualityMismatches:
         co_asked = hochster_table(K.dual(g), pairs=pairs, cohomology=True)
         wider = SimplicialComplex(g | mask_of([4]), K.faces)
         co_wider = hochster_table(wider.dual(wider.ground), cohomology=True)
+        # a table of the wrong variance on either side: on the triangle no
+        # entry fails, so only the refusal shows it
+        variance = "a homology table with a cohomology table"
         for lhs, rhs, message in [
             (asked, co_dual, "over all pairs"),
             (table, co_asked, "over all pairs"),
             (asked, co_asked, "over all pairs"),
             (table, co_wider, "on one ground"),
+            (table, hochster_table(K.dual(g)), variance),
+            (hochster_table(K, cohomology=True), co_dual, variance),
         ]:
             mismatches = slice_duality_mismatches(lhs, rhs)
             with pytest.raises(ValueError, match=message):

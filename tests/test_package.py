@@ -30,9 +30,11 @@ def test_the_cold_import_loads_no_dataclasses_inspect_or_fractions():
     # every command imports the package cold, and these three (with what
     # dataclasses pulls in) took most of that import; the suites fan out
     # with os.fork and marshal alone, not multiprocessing, threading or
-    # pickle; -S keeps what site imports out of the count
+    # pickle, and only a run that forks imports select; -S keeps what site
+    # imports out of the count
     src = Path(polyprod.__file__).parent.parent
-    unwanted = ("dataclasses", "inspect", "fractions", "multiprocessing", "threading", "pickle")
+    unwanted = ("dataclasses", "inspect", "fractions", "multiprocessing", "threading", "pickle",
+                "select")
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import polyprod, polyprod.cli; "
             f"print(*[m for m in {unwanted!r} if m in sys.modules])")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,

@@ -60,7 +60,7 @@ SAMPLES = [
     (Trial, dict(seed=3, suite="dual", ok=False, counterexample="x"), dict(seed=4)),
     (SuiteResult, dict(suite="dual", trials=(Trial(1, "dual", True),)),
      dict(suite="alexander")),
-    (SuiteSpec, dict(fn=len, trials=10, max_vertices=4, summary="sizes"), dict(trials=11)),
+    (SuiteSpec, dict(check=len, trials=10, max_vertices=4, census=True), dict(census=False)),
 ]
 
 

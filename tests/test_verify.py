@@ -35,7 +35,7 @@ from polyprod.verify import (
     TrialLog,
     _de_morgan_failure,
     _dual_failure,
-    _runner,
+    _fan_out,
     _subseed,
     cone_over_rp2,
     cycle_complex,
@@ -219,14 +219,10 @@ class TestTrialLog:
             line for t in MIXED for line in t.lines()
         ] + ["suite s: 11 trials, 2 failures"]
 
-    def test_a_suite_with_gapped_seeds_and_another_name(self, monkeypatch):
-        def fake(trials, max_vertices, seed):
-            for i in range(trials):
-                yield Trial(seed + 2 * i, "fake" if i % 3 else "renamed", True)
-
-        monkeypatch.setitem(SUITES, "fake", SuiteSpec(fake, 7, 1, "gapped"))
-        result = run_suite("fake", seed=100)
-        expect = tuple(fake(7, 1, 100))
+    def test_a_suite_with_gapped_seeds_and_another_name(self):
+        expect = tuple(Trial(100 + 2 * i, "fake" if i % 3 else "renamed", True)
+                       for i in range(7))
+        result = SuiteResult("fake", expect)
         assert result.trials == expect and len(result.trials) == 7
         assert result.ok and result.failures == ()
         assert result.trials[2:5] == expect[2:5]
@@ -261,8 +257,7 @@ class TestRunSuite:
     def test_non_integer_arguments_are_refused_before_any_trial(self, monkeypatch,
                                                                 arg, value):
         ran = []
-        monkeypatch.setitem(SUITES, "count", SuiteSpec(
-            _runner("count", lambda rng, i, mv: ran.append(i)), 2, 2, "planted"))
+        monkeypatch.setitem(SUITES, "count", SuiteSpec(lambda rng, i, mv: ran.append(i), 2, 2))
         with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
             suite_trials("count", **{arg: value})
         with pytest.raises(ValueError, match=f"^{arg} must be an integer"):
@@ -275,8 +270,7 @@ class TestRunSuite:
         # a random complex draws up to 2^n facets: past 16 vertices a trial
         # takes seconds to minutes, and past 25 it runs out of memory
         ran = []
-        monkeypatch.setitem(SUITES, "count", SuiteSpec(
-            _runner("count", lambda rng, i, mv: ran.append(i)), 2, 2, "planted"))
+        monkeypatch.setitem(SUITES, "count", SuiteSpec(lambda rng, i, mv: ran.append(i), 2, 2))
         message = f"^max vertices must be at most 16, got {max_vertices}$"
         with pytest.raises(ValueError, match=message):
             suite_trials("count", max_vertices=max_vertices)
@@ -316,7 +310,7 @@ class TestRunSuite:
             "sphere-duality": (200, 6),
         }
         assert {k: (s.trials, s.max_vertices) for k, s in SUITES.items()} == expected
-        assert all(s.summary for s in SUITES.values())
+        assert [k for k, s in SUITES.items() if s.census] == ["dual"]
 
 
 SMOKE = {
@@ -616,7 +610,7 @@ class TestFanOut:
             time.sleep(0.05)
             return None
 
-        monkeypatch.setitem(SUITES, "dies", SuiteSpec(_runner("dies", check), 20, 1, "planted"))
+        monkeypatch.setitem(SUITES, "dies", SuiteSpec(check, 20, 1))
         _use_cores(monkeypatch, 3)
         with _deadline(30), pytest.raises(RuntimeError, match=r"trial (\d+) \(seed \1\)") as e:
             run_suite("dies")
@@ -634,7 +628,7 @@ class TestFanOut:
         def check(rng, i, max_vertices):
             return f"trial {i} drew {rng.random()}"
 
-        monkeypatch.setitem(SUITES, "echo", SuiteSpec(_runner("echo", check), 0, 1, "planted"))
+        monkeypatch.setitem(SUITES, "echo", SuiteSpec(check, 0, 1))
         runs = []
         for cores in (1, 2, 3):
             _use_cores(monkeypatch, cores)
@@ -645,13 +639,28 @@ class TestFanOut:
         _assert_no_child_left()
 
     @needs_fork
+    @pytest.mark.parametrize("count", [0, 1, 2, 63, 64, 65, 1001])
+    def test_the_fan_out_yields_every_result_in_order(self, monkeypatch, count):
+        # results that are not None and that marshal carries, as counters
+        # sent back with each chunk would be
+        def job(i):
+            return (i, i * i)
+
+        for cores in (1, 2, 3):
+            _use_cores(monkeypatch, cores)
+            forked = _record_forks(monkeypatch)
+            assert list(_fan_out(count, job)) == [job(i) for i in range(count)]
+            assert len(forked) == max(1, min(cores, count)) - 1
+        _assert_no_child_left()
+
+    @needs_fork
     def test_a_slow_trial_leaves_the_others_to_the_free_process(self, monkeypatch):
         def check(rng, i, max_vertices):
             if i == 0:
                 time.sleep(0.3)
             return f"pid {os.getpid()}"
 
-        monkeypatch.setitem(SUITES, "slow", SuiteSpec(_runner("slow", check), 200, 1, "planted"))
+        monkeypatch.setitem(SUITES, "slow", SuiteSpec(check, 200, 1))
         _use_cores(monkeypatch, 2)
         trials = run_suite("slow").trials
         ran = Counter(t.counterexample for t in trials)
@@ -670,7 +679,7 @@ class TestFanOut:
                 raise ValueError(f"drew {drawn}")
             return f"drew {drawn}"
 
-        monkeypatch.setitem(SUITES, "draws", SuiteSpec(_runner("draws", check), 70, 1, "planted"))
+        monkeypatch.setitem(SUITES, "draws", SuiteSpec(check, 70, 1))
         for cores in (1, 2):
             _use_cores(monkeypatch, cores)
             for i, t in enumerate(run_suite("draws", seed=6).trials):
