@@ -4,7 +4,10 @@ A record names its fields in ``_fields``, declares them as ``__slots__``
 (or keeps an instance dict when it needs one) and sets them in its own
 ``__init__`` through ``object.__setattr__``, validating there; the two
 built most often, ``SimplicialComplex`` and ``Trial``, call their slots'
-own ``__set__`` instead, which skips the lookup by name.  The base
+own ``__set__`` instead, which skips the lookup by name.  A record may
+also hold a slot that is not a field, derived from its fields in
+``__init__`` (``GradedGroup`` keeps its degree tuple so): equality, the
+hash, the repr and pickling read ``_fields`` only.  The base
 gives what ``dataclass(frozen=True)`` gave: equality with records of the
 same class only, a hash over the fields, the ``Name(field=value, ...)``
 repr, assignment and deletion refused, and ``pickle``, ``copy`` and

@@ -137,12 +137,16 @@ class GradedGroup(Record):
     """A finitely supported family of groups indexed by integer degrees.
 
     Zero groups are never stored; equality is degreewise isomorphism.
+    The degrees sit beside the groups in a slot that is not a field, so
+    :meth:`degrees`, read twice per pair of a slice-table sweep, is a lookup.
     """
 
-    _fields = __slots__ = ("groups",)
+    _fields = ("groups",)
+    __slots__ = ("groups", "_degrees")
 
     def __init__(self, groups: tuple[tuple[int, FgAbelianGroup], ...] = ()):
         object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "_degrees", tuple([d for d, _ in groups]))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -169,7 +173,7 @@ class GradedGroup(Record):
         return ZERO_GROUP
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.groups)
+        return self._degrees
 
     @property
     def is_zero(self) -> bool:

@@ -73,16 +73,6 @@ def index_pairs(ground) -> list[tuple[int, int]]:
     return pairs
 
 
-def _pair_stream(ground: int):
-    # index_pairs(ground) one pair at a time, from the pairs of the low and
-    # of the high half of the ground's vertices: 2 * 3^(n/2) pairs held
-    bits = _bits_of(ground)
-    low = index_pairs(sum(bits[:len(bits) // 2]))
-    for hs, hw in index_pairs(sum(bits[len(bits) // 2:])):
-        for ls, lw in low:
-            yield hs | ls, hw | lw
-
-
 def _pair_rank(ground: int):
     # the position of a pair in index_pairs(ground): the i-th smallest
     # ground vertex weighs 3^i in sigma and 2 * 3^i in omega, summed over
@@ -121,6 +111,7 @@ class BigradedTable:
     slice at omega has the faces of the slice at omega & S.  ``pairs`` is
     None for a table over every disjoint pair of the ground, in the base-3
     order of :func:`index_pairs`, or the requested pairs in their order.
+    Reading an entry, by :meth:`entry` or :meth:`items`, is a lookup.
     """
 
     def __init__(self, ground: int, links, cohomology: bool = False, pairs=None):
@@ -176,7 +167,11 @@ class BigradedTable:
 
 
 class _TableItems:
-    """A sized view of a table's items: each entry is looked up as it is read."""
+    """A sized view of a table's items: each entry is looked up as it is read.
+
+    Over all pairs each pair of the high half of the ground's vertices runs
+    over every pair of the low half, in base-3 counter order, holding
+    2 * 3^(n/2) pairs, never 3^n."""
 
     def __init__(self, table: BigradedTable):
         self._table = table
@@ -188,9 +183,18 @@ class _TableItems:
     def __iter__(self):
         t = self._table
         get = t.links.get
-        for pair in _pair_stream(t.ground) if t.pairs is None else t.pairs:
-            link = get(pair[0])
-            yield pair, _ZERO if link is None else link[1].get(pair[1] & link[0], _ZERO)
+        if t.pairs is not None:
+            for pair in t.pairs:
+                link = get(pair[0])
+                yield pair, _ZERO if link is None else link[1].get(pair[1] & link[0], _ZERO)
+            return
+        bits = _bits_of(t.ground)
+        low = index_pairs(sum(bits[:len(bits) // 2]))
+        for hs, hw in index_pairs(sum(bits[len(bits) // 2:])):
+            for ls, lw in low:
+                s, w = hs | ls, hw | lw
+                link = get(s)
+                yield (s, w), _ZERO if link is None else link[1].get(w & link[0], _ZERO)
 
 
 def _slice_bitset(faces, sigma: int, omega: int) -> int:

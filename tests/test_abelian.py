@@ -1,6 +1,8 @@
 """Finitely generated abelian groups and graded tensor bookkeeping."""
 
+import copy
 import doctest
+import pickle
 import random
 import time
 
@@ -126,6 +128,32 @@ class TestGradedGroup:
         s = g.direct_sum(GradedGroup.from_dict({2: Z_GROUP}))
         assert s.at(2) == FgAbelianGroup(3)
         assert s.total_rank() == 4
+
+    def test_stored_degrees_are_no_field(self):
+        # the degree tuple sits in a slot of its own: a twin whose tuple is
+        # overwritten still equals the group, hashes with it and prints as it
+        g = GradedGroup.from_dict({-1: Z_GROUP, 2: FgAbelianGroup(0, (2,))})
+        twin = GradedGroup(g.groups)
+        object.__setattr__(twin, "_degrees", (7,))
+        assert GradedGroup._fields == ("groups",)
+        assert g == twin and hash(g) == hash(twin) == hash((g.groups,))
+        assert repr(g) == repr(twin) == f"GradedGroup(groups={g.groups!r})"
+        assert g.__reduce__() == (GradedGroup, (g.groups,))
+        with pytest.raises(AttributeError):
+            g._degrees = ()
+        for clone in (pickle.loads(pickle.dumps(twin)), copy.copy(twin), copy.deepcopy(twin)):
+            assert type(clone) is GradedGroup and clone == g
+            assert clone.degrees() == g.degrees() == (-1, 2)
+
+    def test_degrees_are_the_stored_groups_degrees(self):
+        g = GradedGroup.from_dict({0: Z_GROUP, 2: FgAbelianGroup(1, (3,)), 5: ZERO_GROUP})
+        groups = [g, g.shift(-3), g.direct_sum(GradedGroup.from_dict({1: Z_GROUP})),
+                  GradedGroup(), ZERO_GRADED, GradedGroup.from_dict({})]
+        for h in groups:
+            assert h.degrees() == tuple(d for d, _ in h.groups)
+            assert h.degrees() is h.degrees()
+        assert [h.degrees() for h in groups[:3]] == [(0, 2), (-3, -1), (0, 1, 2)]
+        assert ZERO_GRADED.degrees() == ()
 
     def test_render(self):
         g = GradedGroup.from_dict({-1: Z_GROUP, 1: FgAbelianGroup(0, (2,))})

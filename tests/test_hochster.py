@@ -85,14 +85,27 @@ class TestIndexPairs:
         assert index_pairs(ground) == _counter_pairs(ground)
 
     @pytest.mark.parametrize("ground", [
-        *(mask_of(range(1, n + 1)) for n in range(8)), mask_of([2, 4, 5]),
-        mask_of([1, 3, 4, 7, 9]),
+        *(mask_of(range(1, n + 1)) for n in range(10)), mask_of([2, 4, 5]),
+        mask_of([1, 3, 4, 7, 9]), mask_of([2, 3, 6, 10, 11, 15, 20]),
     ])
     def test_table_items_come_in_counter_order(self, ground):
+        # the stream pairs the low half of the ground's vertices with the
+        # high half, one vertex larger on an odd ground
         K = SimplicialComplex.boundary_simplex(vertices_of(ground))
-        items = hochster_table(K).items()
+        table = hochster_table(K)
+        items = table.items()
         assert len(items) == 3 ** ground.bit_count()
         assert [pair for pair, _ in items] == _counter_pairs(ground)
+        assert all(entry is table.entry(*pair) for pair, entry in items)
+
+    def test_requested_table_items_come_in_the_given_order(self):
+        pairs = [(0b011, 0b100), (0, 0b111), (0b011, 0b100), (0b100, 0b001), (0b111, 0)]
+        table = hochster_table(tri(), pairs=pairs)
+        items = list(table.items())
+        assert len(table.items()) == 5
+        assert [pair for pair, _ in items] == pairs
+        assert all(entry is table.entry(*pair) for pair, entry in items)
+        assert [entry.degrees() for _, entry in items] == [(0,), (2,), (0,), (), ()]
 
     def test_pairs_are_disjoint_and_inside_ground(self):
         g = mask_of([2, 4, 5])

@@ -1,6 +1,7 @@
 """The randomized verification suites and their support machinery."""
 
 import contextlib
+import inspect
 import os
 import random
 import re
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import polyprod.spaces as spaces
+import polyprod.verify as verify
 from polyprod.complexes import (
     SimplicialComplex,
     enumerate_complexes,
@@ -572,6 +574,24 @@ class TestFanOut:
         trials.close()
         _assert_no_child_left()
         assert [t.seed for t in first] == [_subseed(0, i) for i in range(5)]
+
+    def test_closing_the_trials_closes_the_fan_out(self, monkeypatch):
+        # the test holds the fan-out generator, so dropping the trial stream
+        # cannot close it: only the stream's own close can
+        streams = []
+
+        def fan_out(count, job):
+            def stream():
+                yield from map(job, range(count))
+            streams.append(stream())
+            return streams[-1]
+
+        monkeypatch.setattr(verify, "_fan_out", fan_out)
+        trials = suite_trials("dual")
+        assert next(trials).seed == _subseed(0, 0)
+        assert inspect.getgeneratorstate(streams[0]) == inspect.GEN_SUSPENDED
+        trials.close()
+        assert inspect.getgeneratorstate(streams[0]) == inspect.GEN_CLOSED
 
     @needs_fork
     def test_a_killed_run_leaves_no_child(self):
