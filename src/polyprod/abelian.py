@@ -138,7 +138,8 @@ class GradedGroup(Record):
 
     Zero groups are never stored; equality is degreewise isomorphism.
     The degrees sit beside the groups in a slot that is not a field, so
-    :meth:`degrees`, read twice per pair of a slice-table sweep, is a lookup.
+    :meth:`degrees`, which a sweep over a table may read at every pair, is
+    a lookup.
     """
 
     _fields = ("groups",)
