@@ -658,12 +658,6 @@ def composition_homology(K: SimplicialComplex, factors,
 class PieceVerdict(Record):
     _fields = __slots__ = ("sigma", "omega", "lhs", "rhs")
 
-    def __init__(self, sigma: int, omega: int, lhs: GradedGroup, rhs: GradedGroup):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
@@ -677,10 +671,6 @@ class PieceReport(Record):
     """
 
     _fields = __slots__ = ("verdicts", "pairs")
-
-    def __init__(self, verdicts: tuple[PieceVerdict, ...], pairs: int):
-        object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "pairs", pairs)
 
     @property
     def ok(self) -> bool:

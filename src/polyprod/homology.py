@@ -464,12 +464,6 @@ class InducedDegreeMap(Record):
 
     _fields = __slots__ = ("matrix", "kernel_dim", "image_dim", "cokernel_dim")
 
-    def __init__(self, matrix: tuple, kernel_dim: int, image_dim: int, cokernel_dim: int):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "kernel_dim", kernel_dim)
-        object.__setattr__(self, "image_dim", image_dim)
-        object.__setattr__(self, "cokernel_dim", cokernel_dim)
-
 
 def induced_inclusion_map(A: SimplicialComplex, X: SimplicialComplex,
                           coeff: FieldCoeff = RATIONALS):

@@ -72,10 +72,7 @@ def finite_product(K: SimplicialComplex, pairs) -> frozenset:
 
 class Verdict(Record):
     _fields = __slots__ = ("ok", "detail")
-
-    def __init__(self, ok: bool, detail: str = ""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
 
 def _set_verdict(what: str, lhs: frozenset, rhs: frozenset) -> Verdict:
@@ -204,26 +201,9 @@ class LedgerEntry(Record):
     _fields = __slots__ = ("kind", "sigma", "omega", "shift", "source_degree", "group",
                            "degree")
 
-    def __init__(self, kind: str, sigma: int, omega: int | None, shift: int,
-                 source_degree: int, group: FgAbelianGroup, degree: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "source_degree", source_degree)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "degree", degree)
-
 
 class SpaceHomologyReport(Record):
     _fields = __slots__ = ("hat", "bar", "total", "ledger")
-
-    def __init__(self, hat: GradedGroup, bar: GradedGroup, total: GradedGroup,
-                 ledger: tuple[LedgerEntry, ...]):
-        object.__setattr__(self, "hat", hat)
-        object.__setattr__(self, "bar", bar)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "ledger", ledger)
 
     def entries(self, kind: str):
         return [e for e in self.ledger if e.kind == kind]

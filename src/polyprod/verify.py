@@ -868,12 +868,7 @@ def _check_sphere_duality(rng, i: int, max_vertices: int):
 
 class SuiteSpec(Record):
     _fields = __slots__ = ("check", "trials", "max_vertices", "census")
-
-    def __init__(self, check, trials: int, max_vertices: int, census: bool = False):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "max_vertices", max_vertices)
-        object.__setattr__(self, "census", census)
+    _defaults = {"census": False}
 
 
 SUITES = {

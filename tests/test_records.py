@@ -137,3 +137,37 @@ def test_a_complex_is_neither_a_tuple_nor_iterable():
     assert K != (0b1, frozenset({0, 1}))
     with pytest.raises(TypeError):
         iter(K)
+
+
+class TestBaseConstructor:
+    """``Record.__init__`` stores the fields of the records without their own."""
+
+    def test_fields_by_position_by_keyword_and_mixed(self):
+        assert Verdict(False, "x") == Verdict(detail="x", ok=False)
+        spec = SuiteSpec(len, 1, max_vertices=2, census=True)
+        assert (spec.check, spec.trials, spec.max_vertices, spec.census) == (len, 1, 2, True)
+
+    def test_a_trailing_field_left_out_takes_its_default(self):
+        assert Verdict(True).detail == ""
+        assert SuiteSpec(len, 1, 1).census is False
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Verdict(True, "", 3), "Verdict() takes 2 fields, got 3"),
+        (lambda: Verdict(True, colour="red"), "Verdict() got unknown field 'colour'"),
+        (lambda: Verdict(True, ok=False), "Verdict() got repeated field 'ok'"),
+        (lambda: SuiteSpec(len, 1), "SuiteSpec() missing field 'max_vertices'"),
+    ], ids=["extra-positional", "unknown-keyword", "repeated-field", "missing-field"])
+    def test_a_bad_call_raises_type_error_naming_the_class(self, call, message):
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert str(caught.value) == message
+
+    def test_only_records_that_validate_or_are_built_on_a_hot_path_write_one(self):
+        own = {cls.__name__ for cls in Record.__subclasses__() if "__init__" in vars(cls)}
+        assert own == {
+            # validate their input
+            "FgAbelianGroup", "FieldCoeff", "FiniteSpacePair", "SpherePairSystem",
+            "ComplexDocument", "SuiteResult",
+            # built on a hot path
+            "SimplicialComplex", "Trial", "DualityWitness", "GradedGroup",
+        }
